@@ -4,8 +4,9 @@ Thin wrappers over the library; consumers are scripts and CI, so every
 command is non-interactive and exits with a stable code:
 
     0  success (for verify: the plan is feasible)
-    1  verification failure, or a pipeline's own output failed its
-       internal re-verification
+    1  verification failure, a pipeline's own output failed its
+       internal re-verification, or an LP bound failed its duality
+       certificate
     2  bad usage: unknown flags, unreadable or malformed files, invalid
        parameter combinations, invalid instances
     3  the exact solver's node budget was exceeded (FTFP_NODE_BUDGET,
@@ -22,10 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .decompose import decompose_large, decompose_reduce
+# decompose_reduce and trim_to_demand are no longer called here, but they stay
+# bound: benchmark/spans.py times the layers by swapping these module names.
+from .decompose import Decomposition, decompose_reduce  # noqa: F401
 from .ftfl_solvers import BudgetExceededError, IntegralSolution, solution_cost, subroutine
 from .instance import GenParams, Instance, ParseError, generate, parse_instance, serialize_instance, validate
-from .lp_core import build_lp, solve_lp, trim_to_demand
+from .lp_core import build_lp, solve_lp, trim_to_demand  # noqa: F401
 from .pipeline import (
     parse_solution,
     report_to_json,
@@ -33,6 +36,7 @@ from .pipeline import (
     solve_large,
     solve_oracle,
     solve_reduce,
+    solve_trace,
     verify_solution,
 )
 
@@ -102,10 +106,7 @@ def cmd_lp(args) -> int:
     return 0
 
 
-def _dump_decomposition(path: str, inst: Instance, algo: str) -> None:
-    # recomputed from the LP; the pipeline is deterministic so this matches
-    frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
-    dec = decompose_reduce(frac, inst) if algo == "reduce" else decompose_large(frac, inst)
+def _dump_decomposition(path: str, inst: Instance, dec: Decomposition) -> None:
     lines = ["ftfp-dec 1", f"{inst.n} {inst.m}"]
     lines.append(" ".join(str(int(v)) for v in dec.yhat))
     for i in range(inst.n):
@@ -124,13 +125,14 @@ def cmd_solve(args) -> int:
         sol, report = solve_oracle(inst)
     else:
         sub = subroutine(args.ftfl)
-        sol, report = (solve_reduce if args.algo == "reduce" else solve_large)(inst, sub)
+        with solve_trace() as trace:
+            sol, report = (solve_reduce if args.algo == "reduce" else solve_large)(inst, sub)
     if args.out:
         Path(args.out).write_text(serialize_solution(sol))
     if args.report:
         Path(args.report).write_text(report_to_json(report))
     if args.dump_decomposition:
-        _dump_decomposition(args.dump_decomposition, inst, args.algo)
+        _dump_decomposition(args.dump_decomposition, inst, trace.decomposition)
     print(
         f"algo={report.algo} cost_total={_fmt(report.cost_total)} "
         f"lp_star={_fmt(report.lp_star)} ratio_total={_fmt(report.ratio_total)} "

@@ -16,13 +16,21 @@ and gamma_i (caps), giving the lower-bound certificate
          alpha_j - beta_ij <= d_ij
          alpha, beta, gamma >= 0.
 
-The solver is a dense two-phase full-tableau simplex using Bland's
-pivoting rule throughout.  Bland's rule is slower than steepest-edge
-style pricing but cannot cycle and has no tie-breaking ambiguity, so
-repeated runs agree bit for bit; instances here are desk-sized, which
-makes the dense tableau the simplest correct choice.  At optimality the
-basis system is re-solved directly (numpy linalg) so reported primal
-and dual values carry no accumulated pivot drift.
+The solver is a dense two-phase full-tableau simplex.  The entering
+column is the one with the most negative reduced cost (Dantzig's rule),
+ties going to the lowest column index; the leaving row is the minimum
+ratio, ties going to the lowest basic variable index.  After
+_DEGENERATE_RUN consecutive degenerate pivots (minimum ratio at most
+_PIVOT_EPS, so the objective does not move) the entering rule switches
+to Bland's, the lowest eligible column, until the next non-degenerate
+pivot.  Every choice is fixed by the data and the pivots made so far,
+with no randomness, so repeated runs agree bit for bit.  The method cannot cycle: a non-degenerate pivot strictly
+lowers the objective, so no basis repeats across one, and within a run
+of degenerate pivots Bland's rule, which never cycles (Bland 1977),
+takes over after finitely many steps.  Instances here are desk-sized,
+which makes the dense tableau the simplest correct choice.  At
+optimality the basis system is re-solved directly (numpy linalg) so
+reported primal and dual values carry no accumulated pivot drift.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from .instance import Instance
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
 _PIVOT_EPS = 1e-9
+# consecutive degenerate pivots after which Bland's rule picks the entering column
+_DEGENERATE_RUN = 16
 
 
 class SimplexError(RuntimeError):
@@ -127,47 +137,52 @@ def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
 
 
 def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase simplex for min c.v, A v >= b, v >= 0 (dense, Bland's rule).
+    """Two-phase simplex for min c.v, A v >= b, v >= 0 (dense; pricing as above).
 
-    Returns (v, duals) where duals are the multipliers of the >= rows.
-    Redundant rows discovered in phase 1 are dropped; their dual is 0.
+    Returns (v, duals, pivots) where duals are the multipliers of the >=
+    rows and pivots counts the work done (see solve_lp).  Redundant rows
+    discovered in phase 1 are dropped; their dual is 0.
     """
     nrows, nv = A.shape
     sigma = np.where(b > 0.0, 1.0, -1.0)  # rows scaled so RHS >= 0
-    W = np.hstack([A * sigma[:, None], np.diag(-sigma)])
     rhs = b * sigma
     art_rows = np.nonzero(sigma > 0)[0]
     n_art = art_rows.size
     ncols = nv + nrows + n_art
     T = np.zeros((nrows, ncols + 1))
-    T[:, : nv + nrows] = W
-    for k, row in enumerate(art_rows):
-        T[row, nv + nrows + k] = 1.0
+    np.multiply(A, sigma[:, None], out=T[:, :nv])
+    T[np.arange(nrows), nv + np.arange(nrows)] = -sigma
+    T[art_rows, nv + nrows + np.arange(n_art)] = 1.0
     T[:, -1] = rhs
     basis = np.empty(nrows, dtype=np.int64)
     basis[sigma < 0] = nv + np.nonzero(sigma < 0)[0]
     basis[art_rows] = nv + nrows + np.arange(n_art)
     keep = np.arange(nrows)
+    pivots = {"phase1_pivots": 0, "phase2_pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
 
     max_iter = 500 + 50 * (nrows + ncols)
 
     def pivot(row: int, col: int):
         T[row] /= T[row, col]
-        hit = np.nonzero(np.abs(T[:, col]) > 0.0)[0]
-        for rr in hit:
-            if rr != row:
-                T[rr] -= T[rr, col] * T[row]
+        hit = np.nonzero(T[:, col])[0]
+        hit = hit[hit != row]
+        T[hit] -= T[hit, col][:, None] * T[row]
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
 
-    def run_phase(cost: np.ndarray, allowed: np.ndarray):
+    def run_phase(cost: np.ndarray, allowed: np.ndarray, phase: str):
+        degenerate_run = 0
         for _ in range(max_iter):
             red = cost - cost[basis] @ T[:, :-1]
-            cand = np.nonzero((red < -_PIVOT_EPS) & allowed)[0]
-            if cand.size == 0:
+            eligible = (red < -_PIVOT_EPS) & allowed
+            if not eligible.any():
                 return
-            col = int(cand[0])  # Bland: lowest eligible index enters
+            bland = degenerate_run >= _DEGENERATE_RUN
+            if bland:
+                col = int(np.argmax(eligible))  # Bland: lowest eligible index enters
+            else:
+                col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
             pos = T[:, col] > _PIVOT_EPS
             if not pos.any():
                 raise SimplexError("unbounded direction; the relaxation should be bounded")
@@ -175,15 +190,20 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
             ratios[pos] = T[pos, -1] / T[pos, col]
             rmin = ratios.min()
             tied = np.nonzero(ratios <= rmin)[0]
-            row = int(tied[np.argmin(basis[tied])])  # Bland: lowest basic index leaves
+            row = int(tied[np.argmin(basis[tied])])  # lowest basic index leaves
             pivot(row, col)
+            degenerate = bool(rmin <= _PIVOT_EPS)
+            degenerate_run = degenerate_run + 1 if degenerate else 0
+            pivots[phase] += 1
+            pivots["degenerate_pivots"] += degenerate
+            pivots["bland_pivots"] += bland
         raise SimplexError("iteration limit hit; pivoting is stuck")
 
     # Phase 1: drive artificials to zero.
     if n_art:
         cost1 = np.zeros(ncols)
         cost1[nv + nrows :] = 1.0
-        run_phase(cost1, np.ones(ncols, dtype=bool))
+        run_phase(cost1, np.ones(ncols, dtype=bool), "phase1_pivots")
         if float(cost1[basis] @ T[:, -1]) > FEAS_TOL:
             raise LpInfeasibleError("no feasible point (phase 1 stalled above zero)")
         drop = []
@@ -193,6 +213,7 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
             nz = np.nonzero(np.abs(T[row, : nv + nrows]) > _PIVOT_EPS)[0]
             if nz.size:
                 pivot(row, int(nz[0]))
+                pivots["phase1_pivots"] += 1
             else:
                 drop.append(row)  # redundant constraint
         if drop:
@@ -206,25 +227,40 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     cost2[:nv] = c
     allowed = np.ones(ncols, dtype=bool)
     allowed[nv + nrows :] = False
-    run_phase(cost2, allowed)
+    run_phase(cost2, allowed, "phase2_pivots")
 
     # Re-solve the final basis system against the original data: this
     # strips accumulated pivot error from both primal and dual values.
-    Wk = np.zeros((keep.size, ncols))
-    Wk[:, : nv + nrows] = np.hstack([A[keep] * sigma[keep, None], np.diag(-sigma)[keep]])
-    B = Wk[:, basis]
+    # B holds the basic columns of [A * sigma, -diag(sigma)] on the kept
+    # rows; a slack whose row was dropped leaves a zero column, as it
+    # would in the full matrix.
+    B = np.zeros((keep.size, basis.size))
+    structural = basis < nv
+    B[:, structural] = A[np.ix_(keep, basis[structural])] * sigma[keep, None]
+    slack_row = basis[~structural] - nv
+    B[:, ~structural] = np.where(keep[:, None] == slack_row, -sigma[slack_row], 0.0)
     xb = np.linalg.solve(B, rhs[keep])
     ybar = np.linalg.solve(B.T, cost2[basis])
     v = np.zeros(ncols)
     v[basis] = xb
     duals = np.zeros(nrows)
     duals[keep] = sigma[keep] * ybar
-    return v[:nv], duals
+    return v[:nv], duals, pivots
 
 
-def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, DualSolution]:
-    """Solve to optimality; returns primal point and matching dual certificate."""
-    v, duals = _simplex_min(lp.A, lp.b, lp.c)
+def solve_lp(
+    lp: LinearProgram, counters: dict[str, int] | None = None
+) -> tuple[FractionalSolution, DualSolution]:
+    """Solve to optimality; returns primal point and matching dual certificate.
+
+    When `counters` is given it receives the LP shape (rows, cols) and
+    the simplex work: phase1_pivots (including pivots that drive basic
+    artificials out), phase2_pivots, degenerate_pivots (ratio zero) and
+    bland_pivots (entering column chosen by the anti-cycling fallback).
+    """
+    v, duals, pivots = _simplex_min(lp.A, lp.b, lp.c)
+    if counters is not None:
+        counters.update(rows=lp.A.shape[0], cols=lp.A.shape[1], **pivots)
     n, m = lp.n, lp.m
     if v.min() < -FEAS_TOL or duals.min() < -FEAS_TOL:
         raise SimplexError("negative primal or dual values beyond tolerance")

@@ -20,20 +20,27 @@ solve_oracle  Exact optimum by branch and bound with caps max_j r_j
 
 Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
-from files.  Reports carry the LP lower bound, per-stage costs, the
-subroutine ratio, the proven chain bound with its slack, and wall
-times, and serialize to JSON with exactly those field names.
+from files.  Every LP value used as a bound (lp_star, and the residual
+LP behind rho_sub) is certified with check_duality, and a failed
+certificate raises RuntimeError.  Reports carry the LP lower bound,
+per-stage costs, the subroutine ratio, the proven chain bound with its
+slack, wall times and LP counters, and serialize to JSON with exactly
+those field names.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .decompose import (
+    Decomposition,
     decompose_large,
     decompose_reduce,
     integral_part_cost,
@@ -42,7 +49,7 @@ from .decompose import (
 from .ftfl_bridge import to_capped, split_counts_large, split_counts_reduce
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact
 from .instance import Instance, ParseError, _ints, _take, _tokens
-from .lp_core import build_lp, solve_lp, trim_to_demand
+from .lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
 
 COST_REL_TOL = 1e-6
 _ZERO_COST_TOL = 1e-9
@@ -50,7 +57,15 @@ _ZERO_COST_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Cost accounting for one solve; s1 is the integral part, s2 the residual stage."""
+    """Cost accounting for one solve; s1 is the integral part, s2 the residual stage.
+
+    lp_star_residual_capped equals lp_star_residual by construction: the
+    residual caps are at least max rbar, and some LP optimum opens at
+    most max rbar at every site (cut each x_ij to r_j, then each y_i to
+    max_j x_ij; neither raises the cost), so the caps never bind.
+    counters maps each LP solved ("lp", "residual_lp") to its shape,
+    pivot counts and certified duality gap (see solve_lp).
+    """
 
     algo: str  # "reduce" | "large" | "oracle"
     cost_s1: float
@@ -64,6 +79,33 @@ class SolveReport:
     chain_bound: float
     chain_slack: float
     wall_times: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, dict[str, float]] = field(default_factory=dict)
+
+
+@dataclass
+class SolveTrace:
+    """Intermediate results of the last rounding flow run inside solve_trace()."""
+
+    decomposition: Decomposition | None = None
+
+
+_ACTIVE_TRACE: ContextVar[SolveTrace | None] = ContextVar("ftfp_solve_trace", default=None)
+
+
+@contextmanager
+def solve_trace() -> Iterator[SolveTrace]:
+    """Collect what solve_reduce / solve_large computed inside the block.
+
+    The trace travels in a context variable rather than a parameter, so
+    callers and wrappers of the solve functions keep their (inst, sub)
+    signature; it is set only for the block and only in this context.
+    """
+    trace = SolveTrace()
+    token = _ACTIVE_TRACE.set(trace)
+    try:
+        yield trace
+    finally:
+        _ACTIVE_TRACE.reset(token)
 
 
 def report_to_json(report: SolveReport) -> str:
@@ -144,11 +186,29 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 
 
+def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, dict[str, float]]:
+    """LP optimum of inst whose dual certificate passed; raises RuntimeError if not."""
+    counters: dict[str, float] = {}
+    primal, dual = solve_lp(build_lp(inst), counters)
+    cert = check_duality(primal, dual, inst)
+    if not cert.ok:
+        raise RuntimeError(f"{what} failed its duality check: " + "; ".join(cert.messages))
+    counters["duality_gap"] = abs(cert.gap)
+    return primal, counters
+
+
+def _live_clients(inst: Instance) -> Instance:
+    """The clients with demand left; the others add nothing to the LP optimum."""
+    live = np.nonzero(inst.demands > 0)[0]
+    return Instance(inst.site_costs, inst.demands[live], inst.dist[:, live], name=inst.name)
+
+
 def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
+    counters: dict[str, dict[str, float]] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, _ = solve_lp(build_lp(inst))
+    frac, counters["lp"] = _certified_lp(inst, "LP relaxation")
     wall["lp"] = time.perf_counter() - t
     lp_star = frac.objective
 
@@ -161,9 +221,12 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         dec = decompose_large(frac, inst)
         copies = split_counts_large(dec)
     wall["decompose"] = time.perf_counter() - t
+    trace = _ACTIVE_TRACE.get()
+    if trace is not None:
+        trace.decomposition = dec
     s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=integral_part_cost(dec, inst))
 
-    lp2 = lp2_capped = 0.0
+    lp2 = 0.0
     wall["residual_lp"] = wall["subroutine"] = 0.0
     if dec.residual_empty:
         s2 = IntegralSolution(
@@ -174,8 +237,8 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     else:
         res = residual_instance(dec, inst)
         t = time.perf_counter()
-        lp2 = solve_lp(build_lp(res))[0].objective
-        lp2_capped = solve_lp(build_lp(res, caps=copies.astype(float)))[0].objective
+        res_lp, counters["residual_lp"] = _certified_lp(_live_clients(res), "residual LP")
+        lp2 = res_lp.objective
         wall["residual_lp"] = time.perf_counter() - t
         t = time.perf_counter()
         s2 = sub.solve(to_capped(res, copies))
@@ -202,12 +265,13 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         cost_total=total.cost,
         lp_star=lp_star,
         lp_star_residual=lp2,
-        lp_star_residual_capped=lp2_capped,
+        lp_star_residual_capped=lp2,
         rho_sub=rho,
         ratio_total=ratio_total,
         chain_bound=chain_bound,
         chain_slack=chain_bound - total.cost,
         wall_times=wall,
+        counters=counters,
     )
     return total, report
 
@@ -229,7 +293,8 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    lp_star = solve_lp(build_lp(inst))[0].objective
+    frac, lp_counters = _certified_lp(inst, "LP relaxation")
+    lp_star = frac.objective
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
@@ -255,6 +320,7 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
         chain_bound=sol.cost,
         chain_slack=0.0,
         wall_times=wall,
+        counters={"lp": lp_counters},
     )
     return sol, report
 

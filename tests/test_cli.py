@@ -8,12 +8,15 @@ import json
 import numpy as np
 import pytest
 
+from ftfp import pipeline
 from ftfp.cli import main
+from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
 from ftfp.instance import parse_instance
+from ftfp.lp_core import DualityReport, build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import parse_solution
 
-from conftest import INSTANCE_A
+from conftest import INSTANCE_A, random_instance
 from ftfp.instance import serialize_instance
 
 
@@ -126,6 +129,39 @@ def test_solve_dump_decomposition(inst_file, tmp_path):
     assert lines[0] == "ftfp-dec 1"
     assert lines[1] == "2 1"
     assert lines[2] == "1 0"  # yhat holds one facility back
+
+
+@pytest.mark.parametrize("algo", ["reduce", "large"])
+def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
+    inst = random_instance(31, sites=6, clients=8, demand_min=1, demand_max=4)
+    path = tmp_path / "r.ftfp"
+    path.write_text(serialize_instance(inst))
+    dump, rep = tmp_path / "dec.txt", tmp_path / "rep.json"
+    rc = main([
+        "solve", "--in", str(path), "--algo", algo, "--ftfl", "greedy",
+        "--report", str(rep), "--dump-decomposition", str(dump),
+    ])
+    assert rc == 0
+    # reference: decompose the LP optimum afresh and format it the same way
+    frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
+    dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
+    want = ["ftfp-dec 1", f"{inst.n} {inst.m}", " ".join(str(int(v)) for v in dec.yhat)]
+    want += [" ".join(str(int(v)) for v in row) for row in dec.xhat]
+    want.append(" ".join(repr(float(v)) for v in dec.ybar))
+    want += [" ".join(repr(float(v)) for v in row) for row in dec.xbar]
+    assert dump.read_text() == "\n".join(want) + "\n"
+    counters = json.loads(rep.read_text())["counters"]
+    assert counters["lp"]["rows"] == inst.n * inst.m + inst.m
+    assert counters["lp"]["phase1_pivots"] + counters["lp"]["phase2_pivots"] > 0
+
+
+def test_solve_failed_certificate_exits_one(inst_file, monkeypatch, capsys):
+    def refuted(*args, **kwargs):
+        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+
+    monkeypatch.setattr(pipeline, "check_duality", refuted)
+    assert main(["solve", "--in", inst_file, "--algo", "reduce"]) == 1
+    assert "duality check" in capsys.readouterr().err
 
 
 def test_oracle_refuses_decomposition_dump(inst_file, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from conftest import random_instance, random_shape
 from oracles import lp_oracle
 
-from ftfp.instance import Instance, uniform_demand_copy
+from ftfp import lp_core
+from ftfp.instance import Instance, uniform_demand_copy, validate
 from ftfp.lp_core import (
     DualSolution,
     LpInfeasibleError,
@@ -159,11 +160,112 @@ def test_lp_zero_demand_costs_nothing():
 
 def test_solve_lp_is_deterministic():
     inst = random_instance(99, sites=5, clients=5, demand_min=1, demand_max=4)
-    a, _ = solve_lp(build_lp(inst))
-    b, _ = solve_lp(build_lp(inst))
+    ca: dict = {}
+    cb: dict = {}
+    a, _ = solve_lp(build_lp(inst), ca)
+    b, _ = solve_lp(build_lp(inst), cb)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
     assert a.objective == b.objective
+    assert ca == cb
+
+
+def test_solve_lp_counters(instance_b):
+    counters: dict = {}
+    solve_lp(build_lp(instance_b), counters)
+    n, m = instance_b.n, instance_b.m
+    assert counters["rows"] == n * m + m
+    assert counters["cols"] == n + n * m
+    assert counters["phase1_pivots"] >= m  # every coverage row starts on an artificial
+    for key in ("phase2_pivots", "degenerate_pivots", "bland_pivots"):
+        assert counters[key] >= 0
+    assert counters["degenerate_pivots"] <= counters["phase1_pivots"] + counters["phase2_pivots"]
+
+
+def test_zero_demand_clients_do_not_move_the_optimum():
+    for seed in range(40):
+        rng = np.random.default_rng(7000 + seed)
+        n, m = random_shape(rng, 1, 6)
+        inst = random_instance(7000 + seed, sites=n, clients=m, demand_min=0, demand_max=3)
+        live = np.nonzero(inst.demands > 0)[0]
+        if live.size == 0:
+            assert lp_objective(inst) == 0.0
+            continue
+        restricted = Instance(inst.site_costs, inst.demands[live], inst.dist[:, live])
+        full, cut = lp_objective(inst), lp_objective(restricted)
+        assert close(cut, full), (seed, full, cut)
+
+
+# ---------------------------------------------------------------------------
+# degenerate LPs: co-located identical sites and integer-grid distance ties
+
+
+def degenerate_instance(seed: int) -> Instance:
+    """Sites stacked in identical copies on a small integer grid, Manhattan distances."""
+    rng = np.random.default_rng(seed)
+    grid = int(rng.integers(1, 4))
+    distinct = int(rng.integers(1, 6))
+    points = rng.integers(0, grid + 1, size=(distinct, 2))
+    costs = rng.integers(0, 4, size=distinct).astype(float)
+    copies = rng.integers(1, 4, size=distinct)
+    sites = np.repeat(points, copies, axis=0)
+    m = int(rng.integers(1, 9))
+    clients = rng.integers(0, grid + 1, size=(m, 2))
+    dist = np.abs(sites[:, None, :] - clients[None, :, :]).sum(axis=2).astype(float)
+    return Instance(np.repeat(costs, copies), rng.integers(1, 4, size=m), dist)
+
+
+DEGENERATE_SEEDS = range(8000, 8060)
+
+
+@pytest.mark.parametrize("seed", DEGENERATE_SEEDS)
+def test_degenerate_lp_matches_reference_solver(seed):
+    inst = degenerate_instance(seed)
+    assert validate(inst) == []
+    primal, dual = solve_lp(build_lp(inst))
+    want = lp_oracle(inst)
+    assert close(primal.objective, want), (primal.objective, want)
+    rep = check_duality(primal, dual, inst)
+    assert rep.ok, rep.messages
+
+
+def test_degenerate_family_drives_the_bland_fallback():
+    # the anti-cycling path must be exercised, not only present
+    fallback = 0
+    for seed in DEGENERATE_SEEDS:
+        counters: dict = {}
+        solve_lp(build_lp(degenerate_instance(seed)), counters)
+        fallback += counters["bland_pivots"] > 0
+    assert fallback >= 1
+
+
+def test_dantzig_pricing_cuts_pivots(monkeypatch):
+    inst = random_instance(7, sites=10, clients=15, demand_min=1, demand_max=5)
+    dantzig: dict = {}
+    solve_lp(build_lp(inst), dantzig)
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 0)
+    bland: dict = {}
+    solve_lp(build_lp(inst), bland)
+
+    def total(c):
+        return c["phase1_pivots"] + c["phase2_pivots"]
+
+    assert 2 * total(dantzig) < total(bland), (dantzig, bland)
+
+
+@pytest.mark.parametrize("seed", range(8000, 8010))
+def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
+    inst = degenerate_instance(seed)
+    dantzig, _ = solve_lp(build_lp(inst))
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 0)
+    counters: dict = {}
+    primal, dual = solve_lp(build_lp(inst), counters)
+    # every priced pivot is Bland's; phase 1 also counts unpriced drive-out pivots
+    assert counters["phase2_pivots"] <= counters["bland_pivots"]
+    assert counters["bland_pivots"] <= counters["phase1_pivots"] + counters["phase2_pivots"]
+    assert close(primal.objective, dantzig.objective)
+    assert close(primal.objective, lp_oracle(inst))
+    assert check_duality(primal, dual, inst).ok
 
 
 # ---------------------------------------------------------------------------

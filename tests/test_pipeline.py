@@ -11,8 +11,12 @@ import pytest
 from conftest import random_instance, random_shape
 from oracles import lp_oracle
 
+from ftfp import pipeline
+from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
+from ftfp.ftfl_bridge import split_counts_large, split_counts_reduce
 from ftfp.ftfl_solvers import IntegralSolution, solution_cost, subroutine
 from ftfp.instance import Instance, ParseError, uniform_demand_copy
+from ftfp.lp_core import DualityReport, build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import (
     SolveReport,
     combine,
@@ -23,6 +27,7 @@ from ftfp.pipeline import (
     solve_large,
     solve_oracle,
     solve_reduce,
+    solve_trace,
     trim_surplus,
     verify_solution,
 )
@@ -113,8 +118,8 @@ def test_reduce_chain_holds(seed, kind):
     assert rep.cost_total == rep.cost_s1 + rep.cost_s2
     assert within_chain(rep), rep
     assert rep.lp_star <= rep.cost_total + REL * (1.0 + rep.cost_total)
-    # the capped residual LP sits between the free residual LP and the plan
-    assert rep.lp_star_residual <= rep.lp_star_residual_capped + 1e-9
+    # the caps never bind, so the report carries the free residual LP twice
+    assert rep.lp_star_residual_capped == rep.lp_star_residual
     if rep.cost_s2 > 0:
         assert rep.rho_sub >= 1.0 - 1e-9  # no subroutine beats its own LP bound
     # cross-check the headline LP value against the independent solver
@@ -158,6 +163,107 @@ def test_pipeline_is_deterministic():
     assert a.cost_total == b.cost_total
     assert a.lp_star == b.lp_star
     assert a.rho_sub == b.rho_sub
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts in the residual stage
+
+
+def cover_instance(seed: int) -> Instance:
+    """Each client is near (d = 1) a random set of sites and far (d = 3) from the rest.
+
+    Such set-cover structure gives fractional LP optima far more often than
+    the unit-square generator, so large-mode residuals are not all empty.
+    Any distances in [1, 3] satisfy the bipartite metric condition.
+    """
+    rng = np.random.default_rng(seed)
+    near = rng.random((6, 6)) < 0.7
+    return Instance(rng.uniform(1.0, 3.0, 6), rng.integers(1, 3, 6), np.where(near, 1.0, 3.0))
+
+
+def _residual_and_copies(inst: Instance, mode: str):
+    frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
+    if mode == "reduce":
+        dec = decompose_reduce(frac, inst)
+        return residual_instance(dec, inst), split_counts_reduce(dec)
+    dec = decompose_large(frac, inst)
+    return residual_instance(dec, inst), split_counts_large(dec)
+
+
+@pytest.mark.parametrize("mode", ["reduce", "large"])
+def test_residual_caps_never_move_the_lp(mode):
+    # why the pipeline solves the residual LP once, without caps
+    solved = 0
+    for seed in range(20000, 20400):
+        res, copies = _residual_and_copies(cover_instance(seed), mode)
+        if res.demands.sum() == 0:
+            continue
+        free = solve_lp(build_lp(res))[0].objective
+        capped = solve_lp(build_lp(res, copies.astype(float)))[0].objective
+        assert abs(capped - free) <= 1e-9 * (1.0 + abs(free)), (seed, free, capped)
+        solved += 1
+        if solved == 40:
+            break
+    assert solved == 40
+
+
+@pytest.mark.parametrize("algo", ["reduce", "large"])
+def test_residual_lp_is_built_over_live_clients(algo):
+    seen = 0
+    for seed in range(21000, 21040):
+        inst = cover_instance(seed)
+        with solve_trace() as trace:
+            _, rep = (solve_reduce if algo == "reduce" else solve_large)(inst, subroutine("greedy"))
+        live = int((trace.decomposition.rbar > 0).sum())
+        if live == 0:
+            assert "residual_lp" not in rep.counters
+            continue
+        shape = rep.counters["residual_lp"]
+        assert (shape["rows"], shape["cols"]) == (inst.n * live + live, inst.n + inst.n * live)
+        seen += live < inst.m
+    assert seen >= 1  # some residual really dropped a client
+
+
+def test_trace_holds_the_decomposition_behind_the_plan():
+    inst = random_instance(22000, sites=5, clients=6, demand_min=1, demand_max=4)
+    with solve_trace() as trace:
+        _, rep = solve_reduce(inst, subroutine("greedy"))
+    again = decompose_reduce(trim_to_demand(solve_lp(build_lp(inst))[0], inst), inst)
+    for name in ("xhat", "yhat", "xbar", "ybar", "rbar"):
+        assert getattr(trace.decomposition, name).tobytes() == getattr(again, name).tobytes()
+    assert rep.cost_s1 == float(inst.site_costs @ again.yhat + (inst.dist * again.xhat).sum())
+    # outside the block nothing is recorded
+    kept = trace.decomposition
+    solve_reduce(random_instance(22001, sites=5, clients=6), subroutine("greedy"))
+    assert trace.decomposition is kept
+
+
+def test_report_counters_certify_every_lp(instance_a):
+    inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
+    _, rep = solve_reduce(inst, subroutine("greedy"))
+    assert set(rep.counters) == {"lp", "residual_lp"}
+    for counters in rep.counters.values():
+        assert set(counters) == {
+            "rows", "cols", "phase1_pivots", "phase2_pivots",
+            "degenerate_pivots", "bland_pivots", "duality_gap",
+        }
+        assert 0.0 <= counters["duality_gap"] <= 1e-6 * (1.0 + rep.lp_star)
+    assert rep.counters["lp"]["rows"] == inst.n * inst.m + inst.m
+    # an integral LP optimum leaves no residual LP to count
+    _, large = solve_large(instance_a)
+    assert set(large.counters) == {"lp"}
+    _, oracle = solve_oracle(instance_a)
+    assert set(oracle.counters) == {"lp"}
+
+
+@pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])
+def test_failed_certificate_raises(solve, instance_b, monkeypatch):
+    def refuted(*args, **kwargs):
+        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+
+    monkeypatch.setattr(pipeline, "check_duality", refuted)
+    with pytest.raises(RuntimeError, match="duality check"):
+        solve(instance_b)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +357,7 @@ def test_report_field_names_are_stable(instance_a):
         "chain_bound",
         "chain_slack",
         "wall_times",
+        "counters",
     ]
     assert [f.name for f in dataclasses.fields(SolveReport)] == list(data.keys())
 
