@@ -25,11 +25,13 @@ import numpy as np
 
 # decompose_reduce and trim_to_demand are no longer called here, but they stay
 # bound: benchmark/spans.py times the layers by swapping these module names.
-from .decompose import Decomposition, decompose_reduce  # noqa: F401
+from .decompose import decompose_reduce  # noqa: F401
 from .ftfl_solvers import BudgetExceededError, IntegralSolution, solution_cost, subroutine
-from .instance import GenParams, Instance, ParseError, generate, parse_instance, serialize_instance, validate
+from .instance import GenParams, Instance, ParseError, format_records, generate, parse_instance
+from .instance import serialize_instance, validate
 from .lp_core import build_lp, solve_lp, trim_to_demand  # noqa: F401
 from .pipeline import (
+    SolveReport,
     parse_solution,
     report_to_json,
     serialize_solution,
@@ -93,46 +95,35 @@ def cmd_lp(args) -> int:
     primal, dual = solve_lp(build_lp(inst, caps))
     print(f"lp_objective={_fmt(primal.objective)}")
     if args.dump:
-        lines = ["ftfp-lpsol 1", f"{inst.n} {inst.m}"]
-        lines.append(" ".join(_fmt(v) for v in primal.y))
-        for i in range(inst.n):
-            lines.append(" ".join(_fmt(v) for v in primal.x[i]))
-        lines.append(" ".join(_fmt(v) for v in dual.alpha))
-        for i in range(inst.n):
-            lines.append(" ".join(_fmt(v) for v in dual.beta[i]))
+        rows = [primal.y, *primal.x, dual.alpha, *dual.beta]
         if dual.gamma is not None:
-            lines.append(" ".join(_fmt(v) for v in dual.gamma))
-        Path(args.dump).write_text("\n".join(lines) + "\n")
+            rows.append(dual.gamma)
+        Path(args.dump).write_text(format_records("ftfp-lpsol 1", inst.n, inst.m, rows))
     return 0
 
 
-def _dump_decomposition(path: str, inst: Instance, dec: Decomposition) -> None:
-    lines = ["ftfp-dec 1", f"{inst.n} {inst.m}"]
-    lines.append(" ".join(str(int(v)) for v in dec.yhat))
-    for i in range(inst.n):
-        lines.append(" ".join(str(int(v)) for v in dec.xhat[i]))
-    lines.append(" ".join(_fmt(v) for v in dec.ybar))
-    for i in range(inst.n):
-        lines.append(" ".join(_fmt(v) for v in dec.xbar[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _solve(inst: Instance, algo: str, ftfl: str) -> tuple[IntegralSolution, SolveReport]:
+    """Run the flow --algo names.  The solvers are looked up in this module at
+    call time, so a replacement bound to cli.solve_reduce takes effect."""
+    if algo == "oracle":
+        return solve_oracle(inst)
+    return (solve_reduce if algo == "reduce" else solve_large)(inst, subroutine(ftfl))
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(getattr(args, "in"))
-    if args.algo == "oracle":
-        if args.dump_decomposition:
-            raise ValueError("the oracle does not decompose; drop --dump-decomposition")
-        sol, report = solve_oracle(inst)
-    else:
-        sub = subroutine(args.ftfl)
-        with solve_trace() as trace:
-            sol, report = (solve_reduce if args.algo == "reduce" else solve_large)(inst, sub)
+    if args.algo == "oracle" and args.dump_decomposition:
+        raise ValueError("the oracle does not decompose; drop --dump-decomposition")
+    with solve_trace() as trace:
+        sol, report = _solve(inst, args.algo, args.ftfl)
     if args.out:
         Path(args.out).write_text(serialize_solution(sol))
     if args.report:
         Path(args.report).write_text(report_to_json(report))
     if args.dump_decomposition:
-        _dump_decomposition(args.dump_decomposition, inst, trace.decomposition)
+        dec = trace.decomposition
+        rows = [dec.yhat, *dec.xhat, dec.ybar, *dec.xbar]
+        Path(args.dump_decomposition).write_text(format_records("ftfp-dec 1", inst.n, inst.m, rows))
     print(
         f"algo={report.algo} cost_total={_fmt(report.cost_total)} "
         f"lp_star={_fmt(report.lp_star)} ratio_total={_fmt(report.ratio_total)} "
@@ -175,11 +166,7 @@ def cmd_bench(args) -> int:
             cost_min=args.cost_min,
             cost_max=args.cost_max,
         ))
-        if args.algo == "oracle":
-            _, report = solve_oracle(inst)
-        else:
-            sub = subroutine(args.ftfl)
-            _, report = (solve_reduce if args.algo == "reduce" else solve_large)(inst, sub)
+        _, report = _solve(inst, args.algo, args.ftfl)
         rows.append({
             "seed": seed,
             "n": inst.n,

@@ -42,17 +42,11 @@ RESIDUAL_TOL = 1e-9
 Mode = str  # "reduce" | "large"
 
 
-def snap(v: float) -> float:
-    """Round v to the nearest integer when within 1e-6; reject v < -1e-6."""
-    if v < -SNAP_TOL:
-        raise ValueError(f"snap expects v >= -1e-6, got {v}")
-    nearest = round(v)
-    if abs(v - nearest) <= SNAP_TOL:
-        return float(nearest) + 0.0  # normalize -0.0
-    return float(v)
+def snap(a: np.ndarray) -> np.ndarray:
+    """Round entries to the nearest integer when within 1e-6; reject entries < -1e-6.
 
-
-def _snap_array(a: np.ndarray) -> np.ndarray:
+    Snapped zeros are positive zeros (-0.0 never escapes).
+    """
     if float(a.min(initial=0.0)) < -SNAP_TOL:
         raise ValueError(f"snap expects entries >= -1e-6, got {a.min()}")
     nearest = np.rint(a)
@@ -94,8 +88,8 @@ def _decompose(sol: FractionalSolution, inst: Instance, mode: Mode) -> Decomposi
     if float(short.max()) > FEAS_TOL:
         j = int(np.argmax(short))
         raise ValueError(f"client {j} undercovered by {float(short[j]):.3e}")
-    xs = _snap_array(np.maximum(sol.x, 0.0))
-    ys = _snap_array(np.maximum(sol.y, 0.0))
+    xs = snap(np.maximum(sol.x, 0.0))
+    ys = snap(np.maximum(sol.y, 0.0))
     overshoot = float((xs - ys[:, None]).max())
     if overshoot > RESIDUAL_TOL:
         i, j = np.unravel_index(int(np.argmax(xs - ys[:, None])), xs.shape)
@@ -138,16 +132,6 @@ def decompose_large(sol: FractionalSolution, inst: Instance) -> Decomposition:
 def integral_part_cost(dec: Decomposition, inst: Instance) -> float:
     """Cost of opening y-hat and routing x-hat as-is."""
     return float(inst.site_costs @ dec.yhat + (inst.dist * dec.xhat).sum())
-
-
-def residual_fractional_cost(dec: Decomposition, inst: Instance) -> float:
-    """Cost of the fractional residual (x-bar, y-bar) under the same prices."""
-    return float(inst.site_costs @ dec.ybar + (inst.dist * dec.xbar).sum())
-
-
-def integral_part_instance(dec: Decomposition, inst: Instance) -> Instance:
-    """Same geometry, demands replaced by what the integral part serves."""
-    return Instance(inst.site_costs, dec.rhat, inst.dist, name=f"{inst.name}/integral")
 
 
 def residual_instance(dec: Decomposition, inst: Instance) -> Instance:

@@ -10,9 +10,9 @@ Splitting multiplies the site count by K, so the solvers here never see
 the split form.  Instead the same problem is expressed as the original
 instance plus per-site opening caps y_i <= cap_i, which is equivalent:
 any split solution merges to a capped one and any capped solution
-spreads over copies, at identical cost.  The split materializer and the
-merge exist so tests can certify that equivalence; everything else runs
-on the capped form.
+spreads over copies, at identical cost.  The tests keep a split
+materializer and merge as the reference that certifies that
+equivalence; everything here runs on the capped form.
 
 Copy counts come from the decomposition mode: reduce-mode residuals
 need max(max_j rbar_j, 2) copies per site (residual openings can exceed
@@ -45,76 +45,13 @@ class CappedInstance:
         object.__setattr__(self, "caps", caps)
 
 
-@dataclass(frozen=True)
-class SplitMap:
-    """Bookkeeping for site splitting: which copy belongs to which site."""
-
-    copies: np.ndarray  # (n,) int
-    site_of_copy: np.ndarray  # (total_copies,) int
-
-    @property
-    def total_copies(self) -> int:
-        return self.site_of_copy.size
-
-
-def split_counts_reduce(dec: Decomposition) -> np.ndarray:
-    """Copies per site for a reduce-mode residual: max(max rbar, 2), uniform."""
-    if dec.mode != "reduce":
-        raise ValueError(f"expected a reduce-mode decomposition, got {dec.mode!r}")
-    k = max(int(dec.rbar.max()), 2)
-    return np.full(dec.yhat.size, k, dtype=np.int64)
-
-
-def split_counts_large(dec: Decomposition) -> np.ndarray:
-    """Copies per site for a large-mode residual: n - 1, uniform."""
-    if dec.mode != "large":
-        raise ValueError(f"expected a large-mode decomposition, got {dec.mode!r}")
+def split_counts(dec: Decomposition) -> np.ndarray:
+    """Copies per site for the residual: max(max rbar, 2) in reduce mode, n - 1 in large mode."""
     n = dec.yhat.size
-    return np.full(n, n - 1, dtype=np.int64)
+    k = max(int(dec.rbar.max()), 2) if dec.mode == "reduce" else n - 1
+    return np.full(n, k, dtype=np.int64)
 
 
 def to_capped(inst: Instance, copies: np.ndarray) -> CappedInstance:
     """Capped view of the split instance; solvers should prefer this form."""
     return CappedInstance(base=inst, caps=np.asarray(copies, dtype=np.int64))
-
-
-def materialize_split(inst: Instance, copies: np.ndarray) -> tuple[Instance, SplitMap]:
-    """Actually build the split instance (for tests; copy counts multiply n)."""
-    copies = np.asarray(copies, dtype=np.int64)
-    if copies.shape != (inst.n,) or np.any(copies < 0):
-        raise ValueError("copies must be a nonnegative integer vector of length n")
-    if copies.sum() < 1:
-        raise ValueError("split instance needs at least one copy overall")
-    site_of_copy = np.repeat(np.arange(inst.n), copies)
-    split = Instance(
-        inst.site_costs[site_of_copy],
-        inst.demands,
-        inst.dist[site_of_copy, :],
-        name=f"{inst.name}/split",
-    )
-    return split, SplitMap(copies=copies, site_of_copy=site_of_copy)
-
-
-def merge_solution(sol, smap: SplitMap):
-    """Collapse a solution over split copies back to the original sites.
-
-    The input must be feasible for the split instance with y <= 1 per
-    copy; distances are identical across copies of a site, so the merged
-    plan costs exactly the same.
-    """
-    from .ftfl_solvers import IntegralSolution
-
-    k = smap.total_copies
-    if sol.y.shape != (k,) or sol.x.shape[0] != k:
-        raise ValueError("solution shape does not match the split map")
-    if np.any(sol.y < 0) or np.any(sol.y > 1):
-        raise ValueError("split solution must open each copy at most once")
-    if np.any(sol.x < 0) or np.any(sol.x > sol.y[:, None]):
-        raise ValueError("split solution connects through an unopened copy")
-    n = smap.copies.size
-    m = sol.x.shape[1]
-    y = np.zeros(n, dtype=np.int64)
-    x = np.zeros((n, m), dtype=np.int64)
-    np.add.at(y, smap.site_of_copy, sol.y)
-    np.add.at(x, smap.site_of_copy, sol.x)
-    return IntegralSolution(y=y, x=x, cost=sol.cost)

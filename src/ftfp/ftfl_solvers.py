@@ -114,6 +114,16 @@ def optimal_assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float
     return x, total
 
 
+def _check_caps_cover(ci: CappedInstance) -> None:
+    """Raise InfeasibleError when all caps together cannot serve the largest demand."""
+    total = int(ci.caps.sum())
+    if total < ci.base.max_demand:
+        j = int(np.argmax(ci.base.demands))
+        raise InfeasibleError(
+            f"client {j} needs {ci.base.max_demand} distinct facilities, caps sum to {total}"
+        )
+
+
 def solve_exact(ci: CappedInstance) -> IntegralSolution:
     """Provably optimal plan by branch and bound over opening vectors."""
     inst, caps = ci.base, ci.caps
@@ -124,11 +134,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         raise BudgetExceededError(
             f"opening-vector space {space} exceeds node budget {budget}"
         )
-    if int(caps.sum()) < inst.max_demand:
-        j = int(np.argmax(inst.demands))
-        raise InfeasibleError(
-            f"client {j} needs {inst.max_demand} distinct facilities, caps sum to {int(caps.sum())}"
-        )
+    _check_caps_cover(ci)
     order = _client_site_order(inst)
     dist = inst.dist
     demands = [int(r) for r in inst.demands]
@@ -193,11 +199,7 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
     """Fast feasible plan; no optimality guarantee, used as a drop-in subroutine."""
     inst, caps = ci.base, ci.caps
     n, m = inst.n, inst.m
-    if int(caps.sum()) < inst.max_demand:
-        j = int(np.argmax(inst.demands))
-        raise InfeasibleError(
-            f"client {j} needs {inst.max_demand} distinct facilities, caps sum to {int(caps.sum())}"
-        )
+    _check_caps_cover(ci)
     order = _client_site_order(inst)
     by_site = [np.lexsort((np.arange(m), inst.dist[i, :])) for i in range(n)]
     y = np.zeros(n, dtype=np.int64)

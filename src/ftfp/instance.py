@@ -180,13 +180,19 @@ def parse_instance(text: str, name: str = "") -> Instance:
     return Instance(np.array(f), np.array(r, dtype=np.int64), d, name=name)
 
 
-def serialize_instance(inst: Instance) -> str:
-    lines = ["ftfp 1", f"{inst.n} {inst.m}"]
-    lines.append(" ".join(repr(float(v)) for v in inst.site_costs))
-    lines.append(" ".join(str(int(v)) for v in inst.demands))
-    for i in range(inst.n):
-        lines.append(" ".join(repr(float(v)) for v in inst.dist[i]))
+def format_records(header: str, n: int, m: int, rows: list[np.ndarray]) -> str:
+    """The layout of the instance, solution, LP and decomposition files: header, `n m`, rows.
+
+    Each row is a vector or one row of a matrix; floats are written with
+    repr (an exact round trip) and integers as plain decimals.
+    """
+    lines = [header, f"{n} {m}"]
+    lines.extend(" ".join(map(repr, np.asarray(row).tolist())) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def serialize_instance(inst: Instance) -> str:
+    return format_records("ftfp 1", inst.n, inst.m, [inst.site_costs, inst.demands, *inst.dist])
 
 
 def validate(inst: Instance) -> list[str]:
@@ -240,10 +246,3 @@ def generate(params: GenParams) -> Instance:
     name = f"gen-s{params.seed}-n{params.sites}-m{params.clients}"
     return Instance(f, r.astype(np.int64), d, name=name)
 
-
-def uniform_demand_copy(inst: Instance, s: int) -> Instance:
-    """Same sites, costs, and distances, but every demand replaced by s."""
-    if s < 0:
-        raise ValueError(f"uniform demand must be >= 0, got {s}")
-    r = np.full(inst.m, s, dtype=np.int64)
-    return Instance(inst.site_costs, r, inst.dist, name=f"{inst.name}/uniform{s}")

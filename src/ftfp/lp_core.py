@@ -28,7 +28,12 @@ with no randomness, so repeated runs agree bit for bit.  The method cannot cycle
 lowers the objective, so no basis repeats across one, and within a run
 of degenerate pivots Bland's rule, which never cycles (Bland 1977),
 takes over after finitely many steps.  Instances here are desk-sized,
-which makes the dense tableau the simplest correct choice.  At
+which makes the dense tableau the simplest correct choice.  The phase-1
+matrix [A sigma, -diag sigma] (rows scaled by sigma = +-1 so the RHS is
+nonnegative, then one surplus column per row) has full row rank because
+its surplus block alone is nonsingular, so no row is redundant: every
+tableau row has a nonzero entry outside the artificial columns, and an
+artificial still basic after phase 1 can always be pivoted out.  At
 optimality the basis system is re-solved directly (numpy linalg) so
 reported primal and dual values carry no accumulated pivot drift.
 """
@@ -58,7 +63,10 @@ class LpInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense min c.v subject to A v >= b, v >= 0, plus the instance shape."""
+    """Dense min c.v subject to A v >= b, v >= 0, plus the instance shape.
+
+    Column i holds y_i and column n + i * m + j holds x_ij.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -66,16 +74,6 @@ class LinearProgram:
     n: int
     m: int
     caps: np.ndarray | None = None
-
-    def y_col(self, i: int) -> int:
-        return i
-
-    def x_col(self, i: int, j: int) -> int:
-        return self.n + i * self.m + j
-
-    @property
-    def var_count(self) -> int:
-        return self.n + self.n * self.m
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Two-phase simplex for min c.v, A v >= b, v >= 0 (dense; pricing as above).
 
     Returns (v, duals, pivots) where duals are the multipliers of the >=
-    rows and pivots counts the work done (see solve_lp).  Redundant rows
-    discovered in phase 1 are dropped; their dual is 0.
+    rows and pivots counts the work done (see solve_lp).
     """
     nrows, nv = A.shape
     sigma = np.where(b > 0.0, 1.0, -1.0)  # rows scaled so RHS >= 0
@@ -157,7 +154,6 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     basis = np.empty(nrows, dtype=np.int64)
     basis[sigma < 0] = nv + np.nonzero(sigma < 0)[0]
     basis[art_rows] = nv + nrows + np.arange(n_art)
-    keep = np.arange(nrows)
     pivots = {"phase1_pivots": 0, "phase2_pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
 
     max_iter = 500 + 50 * (nrows + ncols)
@@ -206,21 +202,14 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         run_phase(cost1, np.ones(ncols, dtype=bool), "phase1_pivots")
         if float(cost1[basis] @ T[:, -1]) > FEAS_TOL:
             raise LpInfeasibleError("no feasible point (phase 1 stalled above zero)")
-        drop = []
-        for row in range(T.shape[0]):
+        for row in range(nrows):
             if basis[row] < nv + nrows:
                 continue
             nz = np.nonzero(np.abs(T[row, : nv + nrows]) > _PIVOT_EPS)[0]
-            if nz.size:
-                pivot(row, int(nz[0]))
-                pivots["phase1_pivots"] += 1
-            else:
-                drop.append(row)  # redundant constraint
-        if drop:
-            hold = np.setdiff1d(np.arange(T.shape[0]), drop)
-            T = T[hold]
-            basis = basis[hold]
-            keep = keep[hold]
+            if not nz.size:  # impossible at full row rank, see the module docstring
+                raise SimplexError("a basic artificial cannot be pivoted out; the basis is singular")
+            pivot(row, int(nz[0]))
+            pivots["phase1_pivots"] += 1
 
     # Phase 2: original objective, artificial columns barred from entering.
     cost2 = np.zeros(ncols)
@@ -231,21 +220,17 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
 
     # Re-solve the final basis system against the original data: this
     # strips accumulated pivot error from both primal and dual values.
-    # B holds the basic columns of [A * sigma, -diag(sigma)] on the kept
-    # rows; a slack whose row was dropped leaves a zero column, as it
-    # would in the full matrix.
-    B = np.zeros((keep.size, basis.size))
+    # B holds the basic columns of [A * sigma, -diag(sigma)].
+    B = np.zeros((nrows, nrows))
     structural = basis < nv
-    B[:, structural] = A[np.ix_(keep, basis[structural])] * sigma[keep, None]
+    B[:, structural] = A[:, basis[structural]] * sigma[:, None]
     slack_row = basis[~structural] - nv
-    B[:, ~structural] = np.where(keep[:, None] == slack_row, -sigma[slack_row], 0.0)
-    xb = np.linalg.solve(B, rhs[keep])
+    B[slack_row, np.nonzero(~structural)[0]] = -sigma[slack_row]
+    xb = np.linalg.solve(B, rhs)
     ybar = np.linalg.solve(B.T, cost2[basis])
     v = np.zeros(ncols)
     v[basis] = xb
-    duals = np.zeros(nrows)
-    duals[keep] = sigma[keep] * ybar
-    return v[:nv], duals, pivots
+    return v[:nv], sigma * ybar, pivots
 
 
 def solve_lp(
@@ -280,11 +265,6 @@ def solve_lp(
     primal = FractionalSolution(x=x, y=y, objective=objective)
     dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=dual_obj)
     return primal, dual
-
-
-def lp_objective(inst: Instance, caps: np.ndarray | None = None) -> float:
-    primal, _ = solve_lp(build_lp(inst, caps))
-    return primal.objective
 
 
 def check_duality(
@@ -344,28 +324,39 @@ def check_duality(
     return DualityReport(ok=ok, gap=gap, worst_slack=worst, messages=messages)
 
 
+def keep_cheapest(x: np.ndarray, inst: Instance) -> np.ndarray:
+    """Cut every over-covered column of x, in place, down to its demand r_j.
+
+    A column j whose sum exceeds r_j is rebuilt by keeping connections
+    cheapest-first (lowest site index on equal distances) up to r_j,
+    which removes exactly the most expensive surplus.  Works on float and
+    integer x alike; returns each column's sum before the cut.
+    """
+    have = np.empty(inst.m, dtype=x.dtype)
+    for j in range(inst.m):
+        have[j] = x[:, j].sum()
+        if have[j] <= inst.demands[j]:
+            continue
+        remaining = x.dtype.type(inst.demands[j])
+        for i in sorted(range(inst.n), key=lambda i: (inst.dist[i, j], i)):
+            take = min(x[i, j], remaining)
+            x[i, j] = take
+            remaining -= take
+    return have
+
+
 def trim_to_demand(sol: FractionalSolution, inst: Instance) -> FractionalSolution:
     """Shrink coverage surplus so every client meets its demand with equality.
 
     Degenerate LP vertices can over-cover a client (strict inequality in
-    the coverage row at zero marginal cost).  Each column is rebuilt by
-    keeping connections cheapest-first up to r_j, which removes exactly
-    the most expensive surplus; y is untouched, so linking still holds.
+    the coverage row at zero marginal cost).  keep_cheapest removes the
+    most expensive surplus; y is untouched, so linking still holds.
     """
-    n, m = inst.n, inst.m
     x = np.array(sol.x, dtype=float)
-    for j in range(m):
-        have = float(x[:, j].sum())
-        need = float(inst.demands[j])
-        if have < need - FEAS_TOL:
-            raise ValueError(f"client {j} is undercovered: {have} < {need}")
-        if have <= need:
-            continue
-        order = sorted(range(n), key=lambda i: (inst.dist[i, j], i))
-        remaining = need
-        for i in order:
-            take = min(x[i, j], remaining)
-            x[i, j] = take
-            remaining -= take
+    have = keep_cheapest(x, inst)
+    short = np.nonzero(have < inst.demands - FEAS_TOL)[0]
+    if short.size:
+        j = int(short[0])
+        raise ValueError(f"client {j} is undercovered: {float(have[j])} < {float(inst.demands[j])}")
     objective = float(inst.site_costs @ sol.y + (inst.dist * x).sum())
     return FractionalSolution(x=x, y=np.array(sol.y, dtype=float), objective=objective)

@@ -46,10 +46,10 @@ from .decompose import (
     integral_part_cost,
     residual_instance,
 )
-from .ftfl_bridge import to_capped, split_counts_large, split_counts_reduce
+from .ftfl_bridge import split_counts, to_capped
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact
-from .instance import Instance, ParseError, _ints, _take, _tokens
-from .lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
+from .instance import Instance, ParseError, _ints, _take, _tokens, format_records
+from .lp_core import FractionalSolution, build_lp, check_duality, keep_cheapest, solve_lp, trim_to_demand
 
 COST_REL_TOL = 1e-6
 _ZERO_COST_TOL = 1e-9
@@ -59,10 +59,11 @@ _ZERO_COST_TOL = 1e-9
 class SolveReport:
     """Cost accounting for one solve; s1 is the integral part, s2 the residual stage.
 
-    lp_star_residual_capped equals lp_star_residual by construction: the
-    residual caps are at least max rbar, and some LP optimum opens at
-    most max rbar at every site (cut each x_ij to r_j, then each y_i to
-    max_j x_ij; neither raises the cost), so the caps never bind.
+    lp_star_residual is the uncapped residual LP over the clients with
+    demand left.  It equals the capped one by construction: the residual
+    caps are at least max rbar, and some LP optimum opens at most max
+    rbar at every site (cut each x_ij to r_j, then each y_i to max_j
+    x_ij; neither raises the cost), so the caps never bind.
     counters maps each LP solved ("lp", "residual_lp") to its shape,
     pivot counts and certified duality gap (see solve_lp).
     """
@@ -73,7 +74,6 @@ class SolveReport:
     cost_total: float
     lp_star: float
     lp_star_residual: float
-    lp_star_residual_capped: float
     rho_sub: float
     ratio_total: float
     chain_bound: float
@@ -125,21 +125,9 @@ def combine(s1: IntegralSolution, s2: IntegralSolution) -> IntegralSolution:
 
 
 def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
-    """Drop the most expensive surplus connections until coverage is exact."""
+    """Drop the most expensive surplus connections until coverage is exact (see keep_cheapest)."""
     x = np.array(sol.x)
-    changed = False
-    for j in range(inst.m):
-        surplus = int(x[:, j].sum()) - int(inst.demands[j])
-        if surplus <= 0:
-            continue
-        changed = True
-        for i in sorted(range(inst.n), key=lambda i: (-inst.dist[i, j], -i)):
-            drop = min(int(x[i, j]), surplus)
-            x[i, j] -= drop
-            surplus -= drop
-            if surplus == 0:
-                break
-    if not changed:
+    if not np.any(keep_cheapest(x, inst) > inst.demands):
         return sol
     return IntegralSolution(y=sol.y, x=x, cost=solution_cost(inst, sol.y, x))
 
@@ -178,6 +166,36 @@ def _verified(inst: Instance, sol: IntegralSolution, algo: str) -> IntegralSolut
     return sol
 
 
+def _report(
+    inst: Instance, algo: str, plan: IntegralSolution, wall: dict[str, float], t_total: float,
+    counters: dict[str, dict[str, float]], *, lp_star: float, chain_bound: float, **stages: float,
+) -> tuple[IntegralSolution, SolveReport]:
+    """The tail every flow shares: verify the plan, take its ratio to lp_star, report.
+
+    stages holds the report fields only the flow knows: the stage costs,
+    lp_star_residual and rho_sub.
+    """
+    t = time.perf_counter()
+    plan = _verified(inst, plan, algo)
+    wall["verify"] = time.perf_counter() - t
+    ratio_total = _guarded_ratio(plan.cost, lp_star, "total cost")
+    if ratio_total == 0.0:
+        ratio_total = 1.0  # zero-cost instance solved at zero cost
+    wall["total"] = time.perf_counter() - t_total
+    report = SolveReport(
+        algo=algo,
+        cost_total=plan.cost,
+        lp_star=lp_star,
+        ratio_total=ratio_total,
+        chain_bound=chain_bound,
+        chain_slack=chain_bound - plan.cost,
+        wall_times=wall,
+        counters=counters,
+        **stages,
+    )
+    return plan, report
+
+
 def _guarded_ratio(num: float, den: float, what: str) -> float:
     if den > _ZERO_COST_TOL:
         return num / den
@@ -214,12 +232,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
 
     t = time.perf_counter()
     frac = trim_to_demand(frac, inst)
-    if algo == "reduce":
-        dec = decompose_reduce(frac, inst)
-        copies = split_counts_reduce(dec)
-    else:
-        dec = decompose_large(frac, inst)
-        copies = split_counts_large(dec)
+    dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
     wall["decompose"] = time.perf_counter() - t
     trace = _ACTIVE_TRACE.get()
     if trace is not None:
@@ -241,39 +254,18 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         lp2 = res_lp.objective
         wall["residual_lp"] = time.perf_counter() - t
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, copies))
+        s2 = sub.solve(to_capped(res, split_counts(dec)))
         wall["subroutine"] = time.perf_counter() - t
-
-    total = combine(s1, s2)
-    t = time.perf_counter()
-    total = _verified(inst, total, algo)
-    wall["verify"] = time.perf_counter() - t
 
     rho = _guarded_ratio(s2.cost, lp2, "residual stage cost")
     if algo == "reduce":
         chain_bound = max(1.0, rho) * lp_star
     else:
         chain_bound = (1.0 + rho * inst.n / inst.min_demand) * lp_star
-    ratio_total = _guarded_ratio(total.cost, lp_star, "total cost")
-    if ratio_total == 0.0:
-        ratio_total = 1.0  # zero-cost instance solved at zero cost
-    wall["total"] = time.perf_counter() - t_total
-    report = SolveReport(
-        algo=algo,
-        cost_s1=s1.cost,
-        cost_s2=s2.cost,
-        cost_total=total.cost,
-        lp_star=lp_star,
-        lp_star_residual=lp2,
-        lp_star_residual_capped=lp2,
-        rho_sub=rho,
-        ratio_total=ratio_total,
-        chain_bound=chain_bound,
-        chain_slack=chain_bound - total.cost,
-        wall_times=wall,
-        counters=counters,
+    return _report(
+        inst, algo, combine(s1, s2), wall, t_total, counters, lp_star=lp_star, chain_bound=chain_bound,
+        cost_s1=s1.cost, cost_s2=s2.cost, lp_star_residual=lp2, rho_sub=rho,
     )
-    return total, report
 
 
 def solve_reduce(inst: Instance, sub: Subroutine = EXACT) -> tuple[IntegralSolution, SolveReport]:
@@ -300,38 +292,15 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
     sol = solve_exact(to_capped(inst, caps))
     wall["oracle"] = time.perf_counter() - t
-    t = time.perf_counter()
-    sol = _verified(inst, sol, "oracle")
-    wall["verify"] = time.perf_counter() - t
-    ratio = _guarded_ratio(sol.cost, lp_star, "optimal cost")
-    if ratio == 0.0:
-        ratio = 1.0
-    wall["total"] = time.perf_counter() - t_total
-    report = SolveReport(
-        algo="oracle",
-        cost_s1=sol.cost,
-        cost_s2=0.0,
-        cost_total=sol.cost,
-        lp_star=lp_star,
-        lp_star_residual=0.0,
-        lp_star_residual_capped=0.0,
-        rho_sub=0.0,
-        ratio_total=ratio,
-        chain_bound=sol.cost,
-        chain_slack=0.0,
-        wall_times=wall,
-        counters={"lp": lp_counters},
+    return _report(
+        inst, "oracle", sol, wall, t_total, {"lp": lp_counters}, lp_star=lp_star, chain_bound=sol.cost,
+        cost_s1=sol.cost, cost_s2=0.0, lp_star_residual=0.0, rho_sub=0.0,
     )
-    return sol, report
 
 
 def serialize_solution(sol: IntegralSolution) -> str:
     n, m = sol.x.shape
-    lines = ["ftfp-sol 1", f"{n} {m}"]
-    lines.append(" ".join(str(int(v)) for v in sol.y))
-    for i in range(n):
-        lines.append(" ".join(str(int(v)) for v in sol.x[i]))
-    return "\n".join(lines) + "\n"
+    return format_records("ftfp-sol 1", n, m, [sol.y, *sol.x])
 
 
 def parse_solution(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,12 @@ def random_instance(
     )
 
 
+def uniform_demand(inst: Instance, s: int) -> Instance:
+    """Same sites, costs and distances, every demand replaced by s."""
+    r = np.full(inst.m, s, dtype=np.int64)
+    return Instance(inst.site_costs, r, inst.dist, name=f"{inst.name}/uniform{s}")
+
+
 def random_shape(rng: np.random.Generator, lo: int = 1, hi: int = 6) -> tuple[int, int]:
     """Draw (sites, clients) uniformly from [lo, hi]^2."""
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))

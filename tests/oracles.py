@@ -9,11 +9,13 @@ meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ftfp.ftfl_bridge import CappedInstance
+from ftfp.ftfl_solvers import IntegralSolution
 from ftfp.instance import Instance
 
 
@@ -133,3 +135,59 @@ def metric_violation(dist: np.ndarray) -> float:
                 for l in range(m):
                     worst = max(worst, dist[i, j] - (dist[i, l] + dist[k, l] + dist[k, j]))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# site splitting: the textbook form the capped instances stand in for
+
+
+@dataclass(frozen=True)
+class SplitMap:
+    """Bookkeeping for site splitting: which copy belongs to which site."""
+
+    copies: np.ndarray  # (n,) int
+    site_of_copy: np.ndarray  # (total_copies,) int
+
+    @property
+    def total_copies(self) -> int:
+        return self.site_of_copy.size
+
+
+def materialize_split(inst: Instance, copies: np.ndarray) -> tuple[Instance, SplitMap]:
+    """Actually build the split instance (copy counts multiply n)."""
+    copies = np.asarray(copies, dtype=np.int64)
+    if copies.shape != (inst.n,) or np.any(copies < 0):
+        raise ValueError("copies must be a nonnegative integer vector of length n")
+    if copies.sum() < 1:
+        raise ValueError("split instance needs at least one copy overall")
+    site_of_copy = np.repeat(np.arange(inst.n), copies)
+    split = Instance(
+        inst.site_costs[site_of_copy],
+        inst.demands,
+        inst.dist[site_of_copy, :],
+        name=f"{inst.name}/split",
+    )
+    return split, SplitMap(copies=copies, site_of_copy=site_of_copy)
+
+
+def merge_solution(sol: IntegralSolution, smap: SplitMap) -> IntegralSolution:
+    """Collapse a solution over split copies back to the original sites.
+
+    The input must be feasible for the split instance with y <= 1 per
+    copy; distances are identical across copies of a site, so the merged
+    plan costs exactly the same.
+    """
+    k = smap.total_copies
+    if sol.y.shape != (k,) or sol.x.shape[0] != k:
+        raise ValueError("solution shape does not match the split map")
+    if np.any(sol.y < 0) or np.any(sol.y > 1):
+        raise ValueError("split solution must open each copy at most once")
+    if np.any(sol.x < 0) or np.any(sol.x > sol.y[:, None]):
+        raise ValueError("split solution connects through an unopened copy")
+    n = smap.copies.size
+    m = sol.x.shape[1]
+    y = np.zeros(n, dtype=np.int64)
+    x = np.zeros((n, m), dtype=np.int64)
+    np.add.at(y, smap.site_of_copy, sol.y)
+    np.add.at(x, smap.site_of_copy, sol.x)
+    return IntegralSolution(y=y, x=x, cost=sol.cost)

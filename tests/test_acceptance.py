@@ -13,14 +13,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import INSTANCE_A, random_instance
-from oracles import enumerate_optimum
+from conftest import INSTANCE_A, random_instance, uniform_demand
+from oracles import enumerate_optimum, materialize_split, merge_solution
 
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_bridge import materialize_split, merge_solution, to_capped
+from ftfp.ftfl_bridge import to_capped
 from ftfp.ftfl_solvers import solve_exact
-from ftfp.instance import GenParams, Instance, generate, serialize_instance, uniform_demand_copy
+from ftfp.instance import GenParams, Instance, generate, serialize_instance
 from ftfp.lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
 from ftfp.pipeline import solve_large, solve_oracle, solve_reduce, verify_solution
 
@@ -151,7 +151,7 @@ def test_criterion_4_demand_growth_chain():
         for seed in range(25):
             base = ring_instance(seed)
             for mult in (1, 2, 4, 8):
-                big = uniform_demand_copy(base, mult * n)
+                big = uniform_demand(base, mult * n)
                 sol, rep = solve_large(big)
                 assert verify_solution(big, sol) == []
                 r = big.min_demand
@@ -189,9 +189,9 @@ def test_criterion_5_lp_properties():
                 assert capped.objective >= primal.objective - 1e-9 * (1 + primal.objective)
         for t in range(50):
             inst = random_instance(310000 + t, sites=4, clients=4)
-            base = solve_lp(build_lp(uniform_demand_copy(inst, 1)))[0].objective
+            base = solve_lp(build_lp(uniform_demand(inst, 1)))[0].objective
             for s in range(1, 7):
-                scaled = solve_lp(build_lp(uniform_demand_copy(inst, s)))[0].objective
+                scaled = solve_lp(build_lp(uniform_demand(inst, s)))[0].objective
                 assert abs(scaled - s * base) <= 1e-6 * (1.0 + abs(s * base))
         info["detail"] = f"200 certificates, worst relative gap {worst_gap:.1e}; scaling s=1..6 on 50"
 

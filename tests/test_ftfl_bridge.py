@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from oracles import enumerate_optimum, lp_oracle
+from oracles import enumerate_optimum, lp_oracle, materialize_split, merge_solution
 
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_bridge import (
-    CappedInstance,
-    materialize_split,
-    merge_solution,
-    split_counts_large,
-    split_counts_reduce,
-    to_capped,
-)
+from ftfp.ftfl_bridge import CappedInstance, split_counts, to_capped
 from ftfp.ftfl_solvers import IntegralSolution, solution_cost, solve_exact
 from ftfp.instance import Instance
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
@@ -55,23 +48,19 @@ def test_to_capped(instance_b):
 def test_split_counts_reduce(instance_a):
     dec = decompose_reduce(lp_point(instance_a), instance_a)
     # residual demand is 1, so the floor of two copies applies
-    assert np.array_equal(split_counts_reduce(dec), [2, 2])
-    with pytest.raises(ValueError, match="reduce-mode"):
-        split_counts_reduce(decompose_large(lp_point(instance_a), instance_a))
+    assert np.array_equal(split_counts(dec), [2, 2])
 
 
 def test_split_counts_reduce_tracks_max_residual_demand():
     inst = random_instance(42, sites=3, clients=4, demand_min=3, demand_max=9)
     dec = decompose_reduce(lp_point(inst), inst)
     k = max(int(dec.rbar.max()), 2)
-    assert np.array_equal(split_counts_reduce(dec), [k, k, k])
+    assert np.array_equal(split_counts(dec), [k, k, k])
 
 
 def test_split_counts_large(instance_a):
     dec = decompose_large(lp_point(instance_a), instance_a)
-    assert np.array_equal(split_counts_large(dec), [1, 1])
-    with pytest.raises(ValueError, match="large-mode"):
-        split_counts_large(decompose_reduce(lp_point(instance_a), instance_a))
+    assert np.array_equal(split_counts(dec), [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from ftfp.instance import (
     generate,
     parse_instance,
     serialize_instance,
-    uniform_demand_copy,
     validate,
 )
 
@@ -220,11 +219,3 @@ def test_generate_rejects_bad_params():
     with pytest.raises(ValueError):
         GenParams(sites=1, clients=1, demand_min=1, demand_max=1, seed=0, cost_min=2.0, cost_max=1.0)
 
-
-def test_uniform_demand_copy(instance_b):
-    inst = uniform_demand_copy(instance_b, 7)
-    assert np.all(inst.demands == 7)
-    assert inst.dist.tobytes() == instance_b.dist.tobytes()
-    assert inst.name.endswith("/uniform7")
-    with pytest.raises(ValueError, match=">= 0"):
-        uniform_demand_copy(instance_b, -1)

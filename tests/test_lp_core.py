@@ -5,17 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_shape
+from conftest import random_instance, random_shape, uniform_demand
 from oracles import lp_oracle
 
 from ftfp import lp_core
-from ftfp.instance import Instance, uniform_demand_copy, validate
+from ftfp.instance import Instance, validate
 from ftfp.lp_core import (
     DualSolution,
     LpInfeasibleError,
     build_lp,
     check_duality,
-    lp_objective,
     solve_lp,
     trim_to_demand,
 )
@@ -27,6 +26,10 @@ def close(a: float, b: float, tol: float = REL) -> bool:
     return abs(a - b) <= tol * (1.0 + abs(b))
 
 
+def lp_objective(inst: Instance) -> float:
+    return solve_lp(build_lp(inst))[0].objective
+
+
 # ---------------------------------------------------------------------------
 # builder
 
@@ -34,15 +37,15 @@ def close(a: float, b: float, tol: float = REL) -> bool:
 def test_build_lp_shapes(instance_b):
     lp = build_lp(instance_b)
     n, m = instance_b.n, instance_b.m
-    assert lp.var_count == n + n * m
-    assert lp.A.shape == (n * m + m, lp.var_count)
-    assert lp.c.size == lp.var_count
+    nv = n + n * m  # y_i is column i, x_ij is column n + i * m + j
+    assert lp.A.shape == (n * m + m, nv)
+    assert lp.c.size == nv
     # linking row for (i, j): y_i - x_ij >= 0
     row = lp.A[1 * m + 0]
-    assert row[lp.y_col(1)] == 1.0 and row[lp.x_col(1, 0)] == -1.0
+    assert row[1] == 1.0 and row[n + 1 * m + 0] == -1.0
     # coverage row for client 1 sums x over sites
     cov = lp.A[n * m + 1]
-    assert cov[lp.x_col(0, 1)] == 1.0 and cov[lp.x_col(1, 1)] == 1.0
+    assert cov[n + 0 * m + 1] == 1.0 and cov[n + 1 * m + 1] == 1.0
     assert lp.b[n * m + 1] == 1.0
 
 
@@ -51,7 +54,7 @@ def test_build_lp_caps_rows(instance_a):
     lp = build_lp(instance_a, caps)
     n, m = instance_a.n, instance_a.m
     assert lp.A.shape[0] == n * m + m + n
-    assert lp.A[n * m + m + 0, lp.y_col(0)] == -1.0
+    assert lp.A[n * m + m + 0, 0] == -1.0
     assert lp.b[n * m + m + 0] == -2.0
     with pytest.raises(ValueError, match="caps"):
         build_lp(instance_a, np.array([1.0]))
@@ -147,9 +150,9 @@ def test_lp_monotone_in_demand(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_lp_scales_with_uniform_demand(seed):
     inst = random_instance(4000 + seed, sites=4, clients=4)
-    base = lp_objective(uniform_demand_copy(inst, 1))
+    base = lp_objective(uniform_demand(inst, 1))
     for s in range(2, 7):
-        scaled = lp_objective(uniform_demand_copy(inst, s))
+        scaled = lp_objective(uniform_demand(inst, s))
         assert close(scaled, s * base, 1e-9), (s, scaled, s * base)
 
 

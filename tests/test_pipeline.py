@@ -8,15 +8,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_shape
+from conftest import random_instance, random_shape, uniform_demand
 from oracles import lp_oracle
 
 from ftfp import pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
-from ftfp.ftfl_bridge import split_counts_large, split_counts_reduce
+from ftfp.ftfl_bridge import split_counts
 from ftfp.ftfl_solvers import IntegralSolution, solution_cost, subroutine
-from ftfp.instance import Instance, ParseError, uniform_demand_copy
-from ftfp.lp_core import DualityReport, build_lp, solve_lp, trim_to_demand
+from ftfp.instance import Instance, ParseError
+from ftfp.lp_core import DualityReport, FractionalSolution, build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import (
     SolveReport,
     combine,
@@ -118,8 +118,6 @@ def test_reduce_chain_holds(seed, kind):
     assert rep.cost_total == rep.cost_s1 + rep.cost_s2
     assert within_chain(rep), rep
     assert rep.lp_star <= rep.cost_total + REL * (1.0 + rep.cost_total)
-    # the caps never bind, so the report carries the free residual LP twice
-    assert rep.lp_star_residual_capped == rep.lp_star_residual
     if rep.cost_s2 > 0:
         assert rep.rho_sub >= 1.0 - 1e-9  # no subroutine beats its own LP bound
     # cross-check the headline LP value against the independent solver
@@ -183,11 +181,8 @@ def cover_instance(seed: int) -> Instance:
 
 def _residual_and_copies(inst: Instance, mode: str):
     frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
-    if mode == "reduce":
-        dec = decompose_reduce(frac, inst)
-        return residual_instance(dec, inst), split_counts_reduce(dec)
-    dec = decompose_large(frac, inst)
-    return residual_instance(dec, inst), split_counts_large(dec)
+    dec = (decompose_reduce if mode == "reduce" else decompose_large)(frac, inst)
+    return residual_instance(dec, inst), split_counts(dec)
 
 
 @pytest.mark.parametrize("mode", ["reduce", "large"])
@@ -308,6 +303,18 @@ def test_trim_surplus_no_change_returns_same_object(instance_a):
     assert trim_surplus(exact_fit, instance_a) is exact_fit
 
 
+def test_both_trims_keep_the_lowest_site_index_on_equal_distances():
+    # client 0: site 0 is dearest and sites 1-3 tie; client 1: all four sites tie
+    inst = Instance(np.ones(4), np.array([2, 1]), np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
+    x = np.array([[1, 0], [1, 1], [1, 1], [1, 1]])
+    want = [[0, 0], [1, 1], [1, 0], [0, 0]]  # cheapest first, lowest index among equals
+    frac = trim_to_demand(FractionalSolution(x=x.astype(float), y=np.ones(4), objective=0.0), inst)
+    plan = trim_surplus(IntegralSolution(y=np.ones(4, dtype=np.int64), x=x, cost=0.0), inst)
+    assert frac.x.dtype == np.float64 and np.array_equal(frac.x, want)
+    assert plan.x.dtype == np.int64 and np.array_equal(plan.x, want)
+    assert plan.cost == solution_cost(inst, plan.y, plan.x)
+
+
 def test_verify_solution_flags_each_axis(instance_a):
     ok = IntegralSolution(y=np.array([2, 0]), x=np.array([[2], [0]]), cost=8.0)
     assert verify_solution(instance_a, ok) == []
@@ -351,7 +358,6 @@ def test_report_field_names_are_stable(instance_a):
         "cost_total",
         "lp_star",
         "lp_star_residual",
-        "lp_star_residual_capped",
         "rho_sub",
         "ratio_total",
         "chain_bound",
@@ -405,7 +411,7 @@ def test_uniform_scaling_tightens_the_large_chain():
     base = random_instance(19000, sites=4, clients=4)
     reps = []
     for s in (4, 8, 16):
-        inst = uniform_demand_copy(base, s)
+        inst = uniform_demand(base, s)
         _, rep = solve_large(inst)
         assert within_chain(rep)
         reps.append(rep)
