@@ -31,10 +31,13 @@ draw order), so the metric condition holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 METRIC_TOL = 1e-9
+# entries (8 MB of float64) in one block of the metric check's min-reductions
+_METRIC_BLOCK = 1 << 20
 
 
 class ParseError(ValueError):
@@ -198,10 +201,10 @@ def serialize_instance(inst: Instance) -> str:
 def validate(inst: Instance) -> list[str]:
     """Check all instance invariants; returns one message per violation.
 
-    The bipartite metric check is O(n^2 m^2) but fully vectorized: the
+    The bipartite metric check is O(n^2 m^2) time in O(m^2) memory: the
     tightest right-hand side min_{k,l} (d_il + d_kl + d_kj) is built from
-    two min-reductions, and offending entries are reported with the
-    witnessing (i, j, k, l).
+    two min-reductions, each taken over blocks of sites, and offending
+    entries are reported with the witnessing (i, j, k, l).
     """
     bad = []
     for i, v in enumerate(inst.site_costs):
@@ -218,9 +221,13 @@ def validate(inst: Instance) -> list[str]:
     if bad:
         return bad
     d = inst.dist
-    # through[l, j] = min_k (d_kl + d_kj); bound[i, j] = min_l (d_il + through[l, j])
-    through = np.min(d[:, :, None] + d[:, None, :], axis=0)
-    bound = np.min(d[:, :, None] + through[None, :, :], axis=1)
+    # through[l, j] = min_k (d_kl + d_kj); bound[i, j] = min_l (d_il + through[l, j]);
+    # both reductions run over blocks of sites, so no temporary exceeds
+    # _METRIC_BLOCK entries unless a single site's (m, m) slab does
+    step = max(1, _METRIC_BLOCK // (inst.m * inst.m))
+    blocks = [d[s : s + step] for s in range(0, inst.n, step)]
+    through = reduce(np.minimum, (np.min(b[:, :, None] + b[:, None, :], axis=0) for b in blocks))
+    bound = np.concatenate([np.min(b[:, :, None] + through[None, :, :], axis=1) for b in blocks])
     for i, j in zip(*np.nonzero(d > bound + METRIC_TOL)):
         l = int(np.argmin(d[i, :] + through[:, j]))
         k = int(np.argmin(d[:, l] + d[:, j]))

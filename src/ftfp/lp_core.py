@@ -16,6 +16,20 @@ and gamma_i (caps), giving the lower-bound certificate
          alpha_j - beta_ij <= d_ij
          alpha, beta, gamma >= 0.
 
+Without caps, most site-client pairs cannot carry flow at any LP
+optimum.  Let u_j = min_k (f_k + d_kj).  Every dual-feasible point has
+beta_kj <= sum_j' beta_kj' <= f_k, hence alpha_j <= d_kj + beta_kj <=
+d_kj + f_k for every site k, so alpha_j <= u_j.  candidate_pairs keeps
+P = {(i, j) : d_ij <= u_j}, which holds each client's minimizing pair.
+The LP restricted to the x columns of P therefore has duals that obey
+the same bound, and every dropped pair has d_ij > u_j >= alpha_j: its
+edge constraint alpha_j - beta_ij <= d_ij holds with beta_ij = 0.  The
+restricted primal optimum padded with zeros and the restricted duals
+padded with beta_ij = 0 are thus feasible for the full relaxation with
+equal objectives, i.e. optimal for it, and check_duality on the full
+instance certifies them.  Caps break the bound (gamma_i lets sum_j
+beta_ij exceed f_i), so pruning applies to uncapped LPs only.
+
 The solver is a dense two-phase full-tableau simplex.  The entering
 column is the one with the most negative reduced cost (Dantzig's rule),
 ties going to the lowest column index; the leaving row is the minimum
@@ -65,7 +79,10 @@ class LpInfeasibleError(ValueError):
 class LinearProgram:
     """Dense min c.v subject to A v >= b, v >= 0, plus the instance shape.
 
-    Column i holds y_i and column n + i * m + j holds x_ij.
+    pairs is the (n, m) mask of the site-client pairs that have an x
+    column.  Column i holds y_i and column n + t holds x_ij for the t-th
+    kept pair in site-major order, so with every pair kept x_ij is
+    column n + i * m + j.
     """
 
     c: np.ndarray
@@ -73,6 +90,7 @@ class LinearProgram:
     b: np.ndarray
     n: int
     m: int
+    pairs: np.ndarray
     caps: np.ndarray | None = None
 
 
@@ -105,33 +123,55 @@ class DualityReport:
     messages: list[str]
 
 
-def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
-    """Assemble the relaxation; caps, when given, adds -y_i >= -cap_i rows."""
+def candidate_pairs(inst: Instance) -> np.ndarray:
+    """(n, m) mask of the pairs with d_ij <= min_k (f_k + d_kj).
+
+    An optimum of the uncapped LP built over these pairs, padded with
+    zeros, is optimal for the full relaxation, and its duals padded with
+    beta_ij = 0 certify it (proof in the module docstring).  Each client
+    keeps at least its minimizing site; with all opening costs zero only
+    each client's nearest sites remain.
+    """
+    bound = (inst.site_costs[:, None] + inst.dist).min(axis=0)
+    return inst.dist <= bound[None, :]
+
+
+def build_lp(
+    inst: Instance, caps: np.ndarray | None = None, pairs: np.ndarray | None = None
+) -> LinearProgram:
+    """Assemble the relaxation; caps, when given, adds -y_i >= -cap_i rows.
+
+    pairs, an (n, m) boolean mask, limits the x columns and linking rows
+    to the masked pairs (see candidate_pairs); None keeps every pair.
+    The mask is valid for uncapped LPs only, so giving both raises.
+    """
     n, m = inst.n, inst.m
-    nv = n + n * m
-    rows = n * m + m + (n if caps is not None else 0)
-    A = np.zeros((rows, nv))
-    b = np.zeros(rows)
-    c = np.concatenate([inst.site_costs, inst.dist.ravel()])
-    for i in range(n):
-        for j in range(m):
-            row = i * m + j
-            A[row, i] = 1.0
-            A[row, n + i * m + j] = -1.0
-    for j in range(m):
-        row = n * m + j
-        for i in range(n):
-            A[row, n + i * m + j] = 1.0
-        b[row] = float(inst.demands[j])
+    if pairs is None:
+        pairs = np.ones((n, m), dtype=bool)
+    elif caps is not None:
+        raise ValueError("a pair mask is exact for uncapped LPs only; caps given too")
+    pairs = np.asarray(pairs, dtype=bool)
+    if pairs.shape != (n, m):
+        raise ValueError("pairs must be an (n, m) boolean mask")
     if caps is not None:
         caps = np.asarray(caps, dtype=float)
         if caps.shape != (n,) or np.any(caps < 0):
             raise ValueError("caps must be a nonnegative (n,) vector")
-        for i in range(n):
-            row = n * m + m + i
-            A[row, i] = -1.0
-            b[row] = -caps[i]
-    return LinearProgram(c=c, A=A, b=b, n=n, m=m, caps=caps)
+    site, client = np.nonzero(pairs)  # site-major
+    k = site.size
+    x_col = n + np.arange(k)
+    rows = k + m + (n if caps is not None else 0)
+    A = np.zeros((rows, n + k))
+    b = np.zeros(rows)
+    c = np.concatenate([inst.site_costs, inst.dist[site, client]])
+    A[np.arange(k), site] = 1.0  # linking: y_i - x_ij >= 0
+    A[np.arange(k), x_col] = -1.0
+    A[k + client, x_col] = 1.0  # coverage: sum_i x_ij >= r_j
+    b[k : k + m] = inst.demands
+    if caps is not None:
+        A[k + m + np.arange(n), np.arange(n)] = -1.0
+        b[k + m :] = -caps
+    return LinearProgram(c=c, A=A, b=b, n=n, m=m, pairs=pairs, caps=caps)
 
 
 def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -246,21 +286,24 @@ def solve_lp(
     v, duals, pivots = _simplex_min(lp.A, lp.b, lp.c)
     if counters is not None:
         counters.update(rows=lp.A.shape[0], cols=lp.A.shape[1], **pivots)
-    n, m = lp.n, lp.m
+    n, m, k = lp.n, lp.m, lp.A.shape[1] - lp.n
     if v.min() < -FEAS_TOL or duals.min() < -FEAS_TOL:
         raise SimplexError("negative primal or dual values beyond tolerance")
     v = np.maximum(v, 0.0)
     duals = np.maximum(duals, 0.0)
     y = v[:n]
-    x = v[n:].reshape(n, m)
+    # pairs without a column carry x_ij = 0 and beta_ij = 0
+    x = np.zeros((n, m))
+    x[lp.pairs] = v[n:]
     objective = float(lp.c @ v)
-    beta = duals[: n * m].reshape(n, m)
-    alpha = duals[n * m : n * m + m]
+    beta = np.zeros((n, m))
+    beta[lp.pairs] = duals[:k]
+    alpha = duals[k : k + m]
     gamma = None
-    r = lp.b[n * m : n * m + m]  # coverage RHS block
+    r = lp.b[k : k + m]  # coverage RHS block
     dual_obj = float(alpha @ r)
     if lp.caps is not None:
-        gamma = duals[n * m + m :]
+        gamma = duals[k + m :]
         dual_obj -= float(gamma @ lp.caps)
     primal = FractionalSolution(x=x, y=y, objective=objective)
     dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=dual_obj)

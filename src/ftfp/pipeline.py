@@ -20,9 +20,11 @@ solve_oracle  Exact optimum by branch and bound with caps max_j r_j
 
 Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
-from files.  Every LP value used as a bound (lp_star, and the residual
-LP behind rho_sub) is certified with check_duality, and a failed
-certificate raises RuntimeError.  Reports carry the LP lower bound,
+from files.  Every LP (the relaxation, and the residual LP behind
+rho_sub) is built over the pairs lp_core.candidate_pairs keeps, which
+drops the pairs no LP optimum can use; its value is certified with
+check_duality on the full instance, and a failed certificate raises
+RuntimeError.  Reports carry the LP lower bound,
 per-stage costs, the subroutine ratio, the proven chain bound with its
 slack, wall times and LP counters, and serialize to JSON with exactly
 those field names.
@@ -49,7 +51,15 @@ from .decompose import (
 from .ftfl_bridge import split_counts, to_capped
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact
 from .instance import Instance, ParseError, _ints, _take, _tokens, format_records
-from .lp_core import FractionalSolution, build_lp, check_duality, keep_cheapest, solve_lp, trim_to_demand
+from .lp_core import (
+    FractionalSolution,
+    build_lp,
+    candidate_pairs,
+    check_duality,
+    keep_cheapest,
+    solve_lp,
+    trim_to_demand,
+)
 
 COST_REL_TOL = 1e-6
 _ZERO_COST_TOL = 1e-9
@@ -205,9 +215,14 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
 
 
 def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, dict[str, float]]:
-    """LP optimum of inst whose dual certificate passed; raises RuntimeError if not."""
+    """LP optimum of inst whose dual certificate passed; raises RuntimeError if not.
+
+    The LP is built over candidate_pairs(inst) only; the certificate is
+    checked on the full instance, so the value is a certified bound for
+    the full relaxation.
+    """
     counters: dict[str, float] = {}
-    primal, dual = solve_lp(build_lp(inst), counters)
+    primal, dual = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)), counters)
     cert = check_duality(primal, dual, inst)
     if not cert.ok:
         raise RuntimeError(f"{what} failed its duality check: " + "; ".join(cert.messages))

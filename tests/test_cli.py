@@ -13,7 +13,7 @@ from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
 from ftfp.instance import parse_instance
-from ftfp.lp_core import DualityReport, build_lp, solve_lp, trim_to_demand
+from ftfp.lp_core import DualityReport, build_lp, candidate_pairs, solve_lp, trim_to_demand
 from ftfp.pipeline import parse_solution
 
 from conftest import INSTANCE_A, random_instance
@@ -151,7 +151,8 @@ def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
     want += [" ".join(repr(float(v)) for v in row) for row in dec.xbar]
     assert dump.read_text() == "\n".join(want) + "\n"
     counters = json.loads(rep.read_text())["counters"]
-    assert counters["lp"]["rows"] == inst.n * inst.m + inst.m
+    kept = int(candidate_pairs(inst).sum())
+    assert (counters["lp"]["rows"], counters["lp"]["cols"]) == (kept + inst.m, inst.n + kept)
     assert counters["lp"]["phase1_pivots"] + counters["lp"]["phase2_pivots"] > 0
 
 

@@ -11,7 +11,6 @@ from oracles import enumerate_optimum, lp_oracle, materialize_split, merge_solut
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_bridge import CappedInstance, split_counts, to_capped
 from ftfp.ftfl_solvers import IntegralSolution, solution_cost, solve_exact
-from ftfp.instance import Instance
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
 
 

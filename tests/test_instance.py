@@ -8,6 +8,7 @@ import pytest
 from conftest import INSTANCE_A, random_instance
 from oracles import metric_violation
 
+from ftfp import instance
 from ftfp.instance import (
     GenParams,
     Instance,
@@ -185,6 +186,38 @@ def test_validate_metric_agrees_with_quadruple_loop(seed):
     # a lone entry can only be consistent if the instance is too small to route around it
     if n >= 2 and m >= 2:
         assert ours_bad
+
+
+def unchunked_metric_messages(inst: Instance) -> list[str]:
+    """The metric check over whole (n, m, m) arrays, as validate did before it went by blocks of sites."""
+    d = inst.dist
+    through = np.min(d[:, :, None] + d[:, None, :], axis=0)
+    bound = np.min(d[:, :, None] + through[None, :, :], axis=1)
+    bad = []
+    for i, j in zip(*np.nonzero(d > bound + 1e-9)):
+        l = int(np.argmin(d[i, :] + through[:, j]))
+        k = int(np.argmin(d[:, l] + d[:, j]))
+        bad.append(
+            f"metric violated at d[{i},{j}] = {d[i, j]}: "
+            f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {bound[i, j]} (sites {i},{k}, clients {j},{l})"
+        )
+    return bad
+
+
+@pytest.mark.parametrize("block", [1, 60, 1 << 20])  # one site, a few sites, all sites per block
+def test_blocked_metric_check_matches_the_unchunked_one(block, monkeypatch):
+    monkeypatch.setattr(instance, "_METRIC_BLOCK", block)
+    flagged = 0
+    for seed in range(60):
+        rng = np.random.default_rng(9000 + seed)
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        # arbitrary tables break the metric often; small integers also tie often
+        d = rng.random((n, m)) if seed % 2 else rng.integers(0, 4, (n, m)).astype(float)
+        inst = Instance(np.ones(n), np.ones(m, dtype=np.int64), d)
+        want = unchunked_metric_messages(inst)
+        assert validate(inst) == want, seed
+        flagged += bool(want)
+    assert flagged >= 30
 
 
 # ---------------------------------------------------------------------------

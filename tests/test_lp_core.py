@@ -14,6 +14,7 @@ from ftfp.lp_core import (
     DualSolution,
     LpInfeasibleError,
     build_lp,
+    candidate_pairs,
     check_duality,
     solve_lp,
     trim_to_demand,
@@ -60,6 +61,65 @@ def test_build_lp_caps_rows(instance_a):
         build_lp(instance_a, np.array([1.0]))
     with pytest.raises(ValueError, match="caps"):
         build_lp(instance_a, np.array([-1.0, 1.0]))
+
+
+def loop_built_lp(inst: Instance, caps: np.ndarray | None = None):
+    """(A, b, c) of the full relaxation, one entry at a time: the reference layout."""
+    n, m = inst.n, inst.m
+    rows = n * m + m + (n if caps is not None else 0)
+    A = np.zeros((rows, n + n * m))
+    b = np.zeros(rows)
+    c = np.concatenate([inst.site_costs, inst.dist.ravel()])
+    for i in range(n):
+        for j in range(m):
+            A[i * m + j, i] = 1.0
+            A[i * m + j, n + i * m + j] = -1.0
+    for j in range(m):
+        for i in range(n):
+            A[n * m + j, n + i * m + j] = 1.0
+        b[n * m + j] = float(inst.demands[j])
+    if caps is not None:
+        for i in range(n):
+            A[n * m + m + i, i] = -1.0
+            b[n * m + m + i] = -caps[i]
+    return A, b, c
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_all_pairs_layout_is_the_loop_layout(seed):
+    rng = np.random.default_rng(500 + seed)
+    n, m = random_shape(rng, 1, 6)
+    inst = random_instance(500 + seed, sites=n, clients=m, demand_min=0, demand_max=4)
+    caps = rng.integers(1, 5, n).astype(float)
+    for lp, want in [
+        (build_lp(inst), loop_built_lp(inst)),
+        (build_lp(inst, pairs=np.ones((n, m), dtype=bool)), loop_built_lp(inst)),
+        (build_lp(inst, caps), loop_built_lp(inst, caps)),
+    ]:
+        for got, ref in zip((lp.A, lp.b, lp.c), want):
+            assert got.tobytes() == ref.tobytes()
+        assert lp.pairs.all()
+
+
+def test_pair_mask_with_caps_raises(instance_a):
+    with pytest.raises(ValueError, match="uncapped"):
+        build_lp(instance_a, np.array([2.0, 2.0]), pairs=candidate_pairs(instance_a))
+    with pytest.raises(ValueError, match="mask"):
+        build_lp(instance_a, pairs=np.ones((1, 2), dtype=bool))
+
+
+def test_pruned_lp_layout(instance_a):
+    # f = (3, 10), d = (1, 2): u = min(3 + 1, 10 + 2) = 4, so both pairs stay;
+    # raising d_1 to 5 > 4 drops site 1's pair and its linking row
+    far = Instance(instance_a.site_costs, instance_a.demands, np.array([[1.0], [5.0]]))
+    mask = candidate_pairs(far)
+    assert mask.tolist() == [[True], [False]]
+    lp = build_lp(far, pairs=mask)
+    assert lp.A.tolist() == [[1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+    assert lp.b.tolist() == [0.0, 2.0] and lp.c.tolist() == [3.0, 10.0, 1.0]
+    primal, dual = solve_lp(lp)
+    assert primal.x.shape == dual.beta.shape == (2, 1)
+    assert primal.x.tolist() == [[2.0], [0.0]] and dual.beta[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +329,60 @@ def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
     assert close(primal.objective, dantzig.objective)
     assert close(primal.objective, lp_oracle(inst))
     assert check_duality(primal, dual, inst).ok
+
+
+# ---------------------------------------------------------------------------
+# LPs over candidate_pairs: certified on the full instance, equal to the full LP and HiGHS
+
+
+def assert_pruned_lp_is_exact(inst: Instance) -> np.ndarray:
+    """The LP over candidate_pairs is certified on the full instance and has the full optimum."""
+    mask = candidate_pairs(inst)
+    assert mask.any(axis=0).all()  # every client keeps a site
+    primal, dual = solve_lp(build_lp(inst, pairs=mask))
+    assert not primal.x[~mask].any() and not dual.beta[~mask].any()
+    rep = check_duality(primal, dual, inst)
+    assert rep.ok, rep.messages
+    full = solve_lp(build_lp(inst))[0].objective
+    assert close(primal.objective, full), (primal.objective, full)
+    want = lp_oracle(inst)
+    assert close(primal.objective, want), (primal.objective, want)
+    return mask
+
+
+@pytest.mark.parametrize("seed", DEGENERATE_SEEDS)
+def test_pruned_lp_on_degenerate_family(seed):
+    assert_pruned_lp_is_exact(degenerate_instance(seed))
+
+
+@pytest.mark.parametrize("cost_exp", [-6, -3, 0, 3, 6])
+@pytest.mark.parametrize("dist_exp", [-6, -3, 0, 3, 6])
+def test_pruned_lp_across_scales(cost_exp, dist_exp):
+    for seed in range(3):
+        rng = np.random.default_rng(600 + seed)
+        n, m = random_shape(rng, 1, 6)
+        inst = random_instance(600 + seed, sites=n, clients=m, demand_min=0, demand_max=4)
+        scaled = Instance(inst.site_costs * 10.0**cost_exp, inst.demands, inst.dist * 10.0**dist_exp)
+        assert_pruned_lp_is_exact(scaled)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pruned_lp_with_large_demands(seed):
+    rng = np.random.default_rng(700 + seed)
+    n, m = random_shape(rng, 2, 6)
+    assert_pruned_lp_is_exact(random_instance(700 + seed, sites=n, clients=m, demand_min=1, demand_max=40))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pruned_lp_with_free_sites_keeps_only_nearest(seed):
+    rng = np.random.default_rng(800 + seed)
+    n, m = random_shape(rng, 1, 6)
+    inst = random_instance(800 + seed, sites=n, clients=m, demand_min=0, demand_max=4)
+    # on a small integer grid several sites tie for nearest
+    dist = np.round(inst.dist * 4) if seed % 2 else inst.dist
+    free = Instance(np.zeros(n), inst.demands, dist)
+    mask = assert_pruned_lp_is_exact(free)
+    assert np.array_equal(mask, dist == dist.min(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,16 @@ from oracles import lp_oracle
 from ftfp import pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
 from ftfp.ftfl_bridge import split_counts
-from ftfp.ftfl_solvers import IntegralSolution, solution_cost, subroutine
+from ftfp.ftfl_solvers import BudgetExceededError, IntegralSolution, solution_cost, subroutine
 from ftfp.instance import Instance, ParseError
-from ftfp.lp_core import DualityReport, FractionalSolution, build_lp, solve_lp, trim_to_demand
+from ftfp.lp_core import (
+    DualityReport,
+    FractionalSolution,
+    build_lp,
+    candidate_pairs,
+    solve_lp,
+    trim_to_demand,
+)
 from ftfp.pipeline import (
     SolveReport,
     combine,
@@ -214,9 +221,46 @@ def test_residual_lp_is_built_over_live_clients(algo):
             assert "residual_lp" not in rep.counters
             continue
         shape = rep.counters["residual_lp"]
-        assert (shape["rows"], shape["cols"]) == (inst.n * live + live, inst.n + inst.n * live)
+        # the residual keeps the geometry, so its pair mask is the live columns of the full one
+        kept = int(candidate_pairs(inst)[:, trace.decomposition.rbar > 0].sum())
+        assert (shape["rows"], shape["cols"]) == (kept + live, inst.n + kept)
         seen += live < inst.m
     assert seen >= 1  # some residual really dropped a client
+
+
+def every_flow(inst: Instance) -> list:
+    """Plan, decomposition and cost_total of each flow on inst, or its budget refusal."""
+    out = []
+    for solve, kind in [
+        (solve_reduce, "greedy"), (solve_reduce, "exact"),
+        (solve_large, "greedy"), (solve_large, "exact"), (solve_oracle, None),
+    ]:
+        try:
+            with solve_trace() as trace:
+                sol, rep = solve(inst) if kind is None else solve(inst, subroutine(kind))
+        except BudgetExceededError as exc:
+            out.append(str(exc))
+            continue
+        dec = trace.decomposition
+        parts = () if dec is None else tuple(
+            getattr(dec, name).tobytes() for name in ("xhat", "yhat", "xbar", "ybar", "rbar")
+        )
+        out.append((sol.y.tobytes(), sol.x.tobytes(), parts, rep.cost_total))
+    return out
+
+
+# 8x10 with demands up to 3 keeps the exact search and the oracle within budget;
+# 15x20 with demands up to 5 is the benchmark's shape, where the reduce-mode
+# exact search and the oracle are refused
+@pytest.mark.parametrize("sites,clients,top", [(8, 10, 3), (15, 20, 5)])
+@pytest.mark.parametrize("seed", range(24000, 24004))
+def test_pair_pruning_changes_no_plan(sites, clients, top, seed, monkeypatch):
+    inst = random_instance(seed, sites, clients, demand_min=1, demand_max=top)
+    assert candidate_pairs(inst).sum() < inst.n * inst.m  # the two runs solve different LPs
+    pruned = every_flow(inst)
+    assert any(not isinstance(flow, str) for flow in pruned)
+    monkeypatch.setattr(pipeline, "candidate_pairs", lambda case: np.ones((case.n, case.m), dtype=bool))
+    assert every_flow(inst) == pruned
 
 
 def test_trace_holds_the_decomposition_behind_the_plan():
@@ -243,7 +287,8 @@ def test_report_counters_certify_every_lp(instance_a):
             "degenerate_pivots", "bland_pivots", "duality_gap",
         }
         assert 0.0 <= counters["duality_gap"] <= 1e-6 * (1.0 + rep.lp_star)
-    assert rep.counters["lp"]["rows"] == inst.n * inst.m + inst.m
+    kept = int(candidate_pairs(inst).sum())
+    assert (rep.counters["lp"]["rows"], rep.counters["lp"]["cols"]) == (kept + inst.m, inst.n + kept)
     # an integral LP optimum leaves no residual LP to count
     _, large = solve_large(instance_a)
     assert set(large.counters) == {"lp"}
