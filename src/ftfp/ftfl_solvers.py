@@ -13,11 +13,26 @@ solve_exact   Depth-first branch and bound over opening vectors, sites
               is the opening cost of the decided sites plus the optimal
               connection cost when every undecided site is opened to
               its cap; capacities only shrink deeper in the tree, so
-              the bound is valid, and because costs accumulate in the
-              same order as at the leaves it is monotone in floats too.
-              Pruning is strictly greater-than and improvements are
-              strictly less-than, so the first optimum found, hence the
-              one returned, has the lexicographically smallest y.
+              the bound is valid.  Costs accumulate in the same order
+              as at the leaves, so in floats a bound can exceed a leaf
+              below it only by rounding at a near-tie of distances.
+              The bound walks one row per client with demand, built
+              once per call: r_j and its (site, distance) pairs in scan
+              order as python ints and floats, so no node indexes a
+              numpy array.
+              The search starts from the greedy plan (computed only
+              after the space and cap checks pass): its value in the
+              leaf arithmetic, opening costs summed in site order plus
+              the bound at capvec = y, is the first incumbent cost, with
+              no incumbent vector.  Pruning is strictly greater-than and
+              a leaf is accepted when it is strictly cheaper or when
+              none has been accepted yet.  The first minimum leaf in
+              depth-first order is never pruned (neither its ancestors'
+              bounds nor the minimum exceed the incumbent cost) and is
+              always accepted (no earlier leaf ties it), so the plan
+              returned has the lexicographically smallest y, as with no
+              incumbent.  Should such rounding prune every leaf that
+              matches the greedy value, the greedy plan is returned.
 
 solve_greedy  Ratio greedy.  Each round either opens one more facility
               at some site together with a best prefix of undersupplied
@@ -29,6 +44,11 @@ solve_greedy  Ratio greedy.  Each round either opens one more facility
               are re-derived from the opening vector, which can only
               improve on the tentative routing.
 
+Both solvers count their work in IntegralSolution.counters: solve_exact
+the nodes visited ("nodes"), those cut by the incumbent ("pruned_bound")
+and those whose subtree cannot cover every client ("pruned_infeasible");
+solve_greedy its rounds, one move each ("rounds").
+
 The exact search is budgeted: it refuses instances whose opening-vector
 space prod_i (caps_i + 1) exceeds the node budget (FTFP_NODE_BUDGET in
 the environment, default 10^7) and counts visited nodes against the
@@ -39,7 +59,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -61,11 +81,16 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralSolution:
-    """Integral plan: openings y (n,), connections x (n, m), and its cost."""
+    """Integral plan: openings y (n,), connections x (n, m), and its cost.
+
+    counters holds the work the solver did (see the module docstring);
+    plans built outside a solver leave it empty.
+    """
 
     y: np.ndarray
     x: np.ndarray
     cost: float
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 def solution_cost(inst: Instance, y: np.ndarray, x: np.ndarray) -> float:
@@ -127,7 +152,7 @@ def _check_caps_cover(ci: CappedInstance) -> None:
 def solve_exact(ci: CappedInstance) -> IntegralSolution:
     """Provably optimal plan by branch and bound over opening vectors."""
     inst, caps = ci.base, ci.caps
-    n, m = inst.n, inst.m
+    n = inst.n
     budget = node_budget()
     space = math.prod(int(c) + 1 for c in caps)
     if space > budget:
@@ -136,47 +161,56 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         )
     _check_caps_cover(ci)
     order = _client_site_order(inst)
-    dist = inst.dist
-    demands = [int(r) for r in inst.demands]
+    # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
+    rows = [
+        (int(inst.demands[j]), [(int(i), float(inst.dist[i, j])) for i in order[j]])
+        for j in range(inst.m)
+        if inst.demands[j] > 0
+    ]
     f = [float(v) for v in inst.site_costs]
     caps_list = [int(c) for c in caps]
 
     def relaxed_connection_cost(capvec: list[int]) -> float | None:
         total = 0.0
-        for j in range(m):
-            rem = demands[j]
-            if rem == 0:
-                continue
-            for i in order[j]:
-                take = capvec[i] if capvec[i] < rem else rem
+        for rem, row in rows:
+            for i, d in row:
+                c = capvec[i]
+                take = c if c < rem else rem
                 if take:
                     rem -= take
-                    total += take * float(dist[i, j])
+                    total += take * d
                     if rem == 0:
                         break
             if rem > 0:
                 return None
         return total
 
-    best_cost = math.inf
+    # the greedy plan's value in the leaf arithmetic of the walk below
+    incumbent = [int(v) for v in solve_greedy(ci).y]
+    best_cost = 0.0
+    for fi, v in zip(f, incumbent):
+        best_cost = best_cost + fi * v
+    best_cost = best_cost + relaxed_connection_cost(incumbent)
     best_y: list[int] | None = None
-    nodes = 0
+    nodes = pruned_bound = pruned_infeasible = 0
     capvec = caps_list.copy()
     y = [0] * n
 
     def walk(depth: int, opening_cost: float):
-        nonlocal best_cost, best_y, nodes
+        nonlocal best_cost, best_y, nodes, pruned_bound, pruned_infeasible
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
         conn = relaxed_connection_cost(capvec)
         if conn is None:
+            pruned_infeasible += 1
             return  # even fully open this subtree cannot cover everyone
         bound = opening_cost + conn
         if bound > best_cost:
+            pruned_bound += 1
             return
         if depth == n:
-            if bound < best_cost:
+            if bound < best_cost or best_y is None:
                 best_cost = bound
                 best_y = y.copy()
             return
@@ -188,65 +222,77 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         capvec[depth] = caps_list[depth]
 
     walk(0, 0.0)
-    if best_y is None:
-        raise InfeasibleError("no opening vector within caps covers all demands")
+    if best_y is None:  # float rounding pruned every leaf that ties the greedy value
+        best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)
     x, _ = optimal_assignment(yv, inst)
-    return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x))
+    counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}
+    return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
 
 
 def solve_greedy(ci: CappedInstance) -> IntegralSolution:
     """Fast feasible plan; no optimality guarantee, used as a drop-in subroutine."""
-    inst, caps = ci.base, ci.caps
+    inst = ci.base
     n, m = inst.n, inst.m
     _check_caps_cover(ci)
-    order = _client_site_order(inst)
-    by_site = [np.lexsort((np.arange(m), inst.dist[i, :])) for i in range(n)]
-    y = np.zeros(n, dtype=np.int64)
-    a = np.zeros((n, m), dtype=np.int64)  # tentative connections
-    served = np.zeros(m, dtype=np.int64)
+    caps = [int(c) for c in ci.caps]
+    demands = [int(r) for r in inst.demands]
+    f = [float(v) for v in inst.site_costs]
+    # per site: (client, d_ij) by ascending distance, client index as tie-break
+    by_site = [
+        [(int(j), float(inst.dist[i, j])) for j in np.lexsort((np.arange(m), inst.dist[i, :]))]
+        for i in range(n)
+    ]
+    y = [0] * n
+    a = [[0] * m for _ in range(n)]  # tentative connections
+    served = [0] * m
+    rounds = 0
     while True:
-        under = served < inst.demands
-        if not under.any():
+        under = [s < r for s, r in zip(served, demands)]
+        if not any(under):
             break
-        best = None  # (ratio, site, kind, payload); kind 0 = connect, 1 = open
+        rounds += 1
+        # (ratio, site, kind, payload): kind 0 connects client payload, kind 1 opens
+        # a facility for the first payload undersupplied clients in by_site order;
+        # no two candidates share (site, kind), so the payload never breaks a tie
+        best = None
         for i in range(n):
             if y[i] > 0:
-                for j in by_site[i]:
-                    if under[j] and a[i, j] < y[i]:
-                        cand = (float(inst.dist[i, j]), i, 0, int(j))
+                for j, d in by_site[i]:
+                    if under[j] and a[i][j] < y[i]:
+                        cand = (d, i, 0, j)
                         if best is None or cand < best:
                             best = cand
                         break
             if y[i] < caps[i]:
-                run = float(inst.site_costs[i])
-                count = 0
-                take: list[int] = []
-                cand_k = None
-                for j in by_site[i]:
-                    if not under[j]:
-                        continue
-                    run += float(inst.dist[i, j])
-                    count += 1
-                    take.append(int(j))
-                    ratio = run / count
-                    if cand_k is None or ratio < cand_k[0]:
-                        cand_k = (ratio, i, 1, list(take))
-                if cand_k is not None and (best is None or cand_k < best):
-                    best = cand_k
+                run = f[i]
+                count = best_len = 0
+                best_ratio = math.inf
+                for j, d in by_site[i]:
+                    if under[j]:
+                        run += d
+                        count += 1
+                        ratio = run / count
+                        if count == 1 or ratio < best_ratio:
+                            best_ratio, best_len = ratio, count
+                if best_len:
+                    cand = (best_ratio, i, 1, best_len)
+                    if best is None or cand < best:
+                        best = cand
         if best is None:
             raise InfeasibleError("greedy ran out of moves with unmet demand")
         _, i, kind, payload = best
         if kind == 0:
-            a[i, payload] += 1
+            a[i][payload] += 1
             served[payload] += 1
         else:
             y[i] += 1
-            for j in payload:
-                a[i, j] += 1
+            for j in [j for j, _ in by_site[i] if under[j]][:payload]:
+                a[i][j] += 1
                 served[j] += 1
-    x, _ = optimal_assignment(y, inst)
-    return IntegralSolution(y=y, x=x, cost=solution_cost(inst, y, x))
+    yv = np.array(y, dtype=np.int64)
+    x, _ = optimal_assignment(yv, inst)
+    return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters={"rounds": rounds})
 
 
 @dataclass(frozen=True)

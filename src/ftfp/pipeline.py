@@ -24,10 +24,10 @@ from files.  Every LP (the relaxation, and the residual LP behind
 rho_sub) is built over the pairs lp_core.candidate_pairs keeps, which
 drops the pairs no LP optimum can use; its value is certified with
 check_duality on the full instance, and a failed certificate raises
-RuntimeError.  Reports carry the LP lower bound,
-per-stage costs, the subroutine ratio, the proven chain bound with its
-slack, wall times and LP counters, and serialize to JSON with exactly
-those field names.
+RuntimeError.  Reports carry the LP lower bound, per-stage costs, the
+subroutine ratio, the proven chain bound with its slack, wall times, and
+LP and solver counters, and serialize to JSON with exactly those field
+names.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ class SolveReport:
     rbar at every site (cut each x_ij to r_j, then each y_i to max_j
     x_ij; neither raises the cost), so the caps never bind.
     counters maps each LP solved ("lp", "residual_lp") to its shape,
-    pivot counts and certified duality gap (see solve_lp).
+    pivot counts and certified duality gap (see solve_lp); "subroutine"
+    (a non-empty residual) and "oracle" hold the integral solver's
+    counters (search nodes, greedy rounds; see ftfl_solvers).
     """
 
     algo: str  # "reduce" | "large" | "oracle"
@@ -271,6 +273,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         t = time.perf_counter()
         s2 = sub.solve(to_capped(res, split_counts(dec)))
         wall["subroutine"] = time.perf_counter() - t
+        counters["subroutine"] = dict(s2.counters)
 
     rho = _guarded_ratio(s2.cost, lp2, "residual stage cost")
     if algo == "reduce":
@@ -307,8 +310,9 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
     sol = solve_exact(to_capped(inst, caps))
     wall["oracle"] = time.perf_counter() - t
+    counters = {"lp": lp_counters, "oracle": dict(sol.counters)}  # read before _verified rebuilds sol
     return _report(
-        inst, "oracle", sol, wall, t_total, {"lp": lp_counters}, lp_star=lp_star, chain_bound=sol.cost,
+        inst, "oracle", sol, wall, t_total, counters, lp_star=lp_star, chain_bound=sol.cost,
         cost_s1=sol.cost, cost_s2=0.0, lp_star_residual=0.0, rho_sub=0.0,
     )
 

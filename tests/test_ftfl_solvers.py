@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from oracles import enumerate_optimum, matching_assignment_cost
 
-from ftfp.ftfl_bridge import to_capped
+from ftfp import ftfl_solvers
+from ftfp.ftfl_bridge import CappedInstance, to_capped
 from ftfp.ftfl_solvers import (
     DEFAULT_NODE_BUDGET,
     NODE_BUDGET_ENV,
@@ -21,7 +24,7 @@ from ftfp.ftfl_solvers import (
     solve_greedy,
     subroutine,
 )
-from ftfp.instance import Instance
+from ftfp.instance import GenParams, Instance, generate
 
 
 def caps_for(inst: Instance, k: int | None = None) -> np.ndarray:
@@ -118,6 +121,79 @@ def test_exact_infeasible_caps(instance_a):
 
 
 # ---------------------------------------------------------------------------
+# the exact contract: the lexicographically smallest optimum, whatever the incumbent
+
+
+def y_digest(plans) -> str:
+    """sha256 over the plans' opening vectors, one line of decimals each."""
+    text = "".join(" ".join(str(v) for v in plan.y.tolist()) + "\n" for plan in plans)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def grid_instance(rng: np.random.Generator, family: str) -> CappedInstance:
+    """Small instance whose costs are small integers, so every tie is exact in floats."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    r = rng.integers(0, 4, m)
+    if family == "zero":
+        f, d = np.zeros(n), np.zeros((n, m))
+    else:
+        sites = rng.integers(0, 3, (n, 2))
+        if family == "colocated":  # every site after the first may copy an earlier one
+            for i in range(1, n):
+                if rng.random() < 0.6:
+                    sites[i] = sites[int(rng.integers(i))]
+        clients = rng.integers(0, 3, (m, 2))
+        d = np.abs(sites[:, None, :] - clients[None, :, :]).sum(axis=2).astype(float)
+        f = rng.integers(0, 4, n).astype(float)
+        if family == "colocated":  # a copy shares its original's opening cost too
+            for i in range(1, n):
+                same = np.nonzero((sites[:i] == sites[i]).all(axis=1))[0]
+                if same.size:
+                    f[i] = f[same[0]]
+    caps = rng.integers(0, int(r.max()) + 2, n)
+    caps[int(rng.integers(n))] += max(0, int(r.max()) - int(caps.sum()))
+    return to_capped(Instance(f, r, d), caps)
+
+
+@pytest.mark.parametrize("family", ["zero", "grid", "colocated"])
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_returns_lexicographically_smallest_optimum(family, seed):
+    # every tie is exact here, so the enumeration's tolerance never merges two costs
+    ci = grid_instance(np.random.default_rng(14000 + seed), family)
+    sol = solve_exact(ci)
+    want_cost, want_y = enumerate_optimum(ci)
+    assert sol.cost == want_cost
+    assert np.array_equal(sol.y, want_y)
+    c = sol.counters
+    assert c["pruned_bound"] + c["pruned_infeasible"] <= c["nodes"]
+
+
+def test_exact_refuses_before_the_greedy_incumbent(monkeypatch, instance_a):
+    # a refused call must cost no more than the checks: greedy runs only after them
+    def no_greedy(ci):
+        raise AssertionError("greedy called before the checks passed")
+
+    monkeypatch.setattr(ftfl_solvers, "solve_greedy", no_greedy)
+    monkeypatch.setenv(NODE_BUDGET_ENV, "8")
+    with pytest.raises(BudgetExceededError, match="space"):
+        solve_exact(to_capped(instance_a, np.array([2, 2])))
+    with pytest.raises(InfeasibleError, match="caps sum"):
+        solve_exact(to_capped(instance_a, np.array([1, 0])))
+
+
+# y_digest of solve_exact over the first 48 instances of the benchmark's
+# oracle-6x12 pool (seeds 7-54, caps at the largest demand), recorded before
+# the search had its bound rows and greedy incumbent.
+ORACLE_POOL_Y_DIGEST = "bf455e04c4fb34e5791019578f5469bc1daeb0fa640f55a95ce72c56b61b8847"
+
+
+def test_exact_plans_are_pinned_on_the_oracle_pool():
+    pool = (generate(GenParams(6, 12, 1, 4, seed)) for seed in range(7, 55))
+    plans = (solve_exact(to_capped(inst, caps_for(inst))) for inst in pool)
+    assert y_digest(plans) == ORACLE_POOL_Y_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # node budget
 
 
@@ -153,6 +229,8 @@ def test_exact_dynamic_budget_check(monkeypatch):
     monkeypatch.setenv(NODE_BUDGET_ENV, "15")
     sol = solve_exact(to_capped(inst, np.array([1, 1, 1])))
     assert sol.cost == 0.0
+    # no bound beats the zero-cost incumbent; only the leaf y = 0 is infeasible
+    assert sol.counters == {"nodes": 15, "pruned_bound": 0, "pruned_infeasible": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +241,7 @@ def test_greedy_on_fixture_b(instance_b):
     sol = solve_greedy(to_capped(instance_b, np.array([1, 1])))
     assert sol.cost == 2.0
     assert np.array_equal(sol.y, [1, 1])
+    assert sol.counters == {"rounds": 2}  # one opening per client
 
 
 def test_greedy_reuses_spare_capacity():
@@ -193,6 +272,18 @@ def test_greedy_handles_zero_demand():
 def test_greedy_infeasible_caps(instance_a):
     with pytest.raises(InfeasibleError, match="caps sum"):
         solve_greedy(to_capped(instance_a, np.array([0, 1])))
+
+
+# y_digest of solve_greedy on 15x20 instances (seeds 7-54, demands 1-5), every
+# cap at 2 and then at the largest demand, recorded while the solver still kept
+# its state in numpy arrays.
+GREEDY_Y_DIGEST = "8e4364d7cef8ffc17e7acc89f0b4cca5df1e07344d9f6c1ef873fef4053da410"
+
+
+def test_greedy_plans_are_pinned():
+    pool = [generate(GenParams(15, 20, 1, 5, seed)) for seed in range(7, 55)]
+    plans = (solve_greedy(to_capped(inst, caps_for(inst, k))) for inst in pool for k in (2, None))
+    assert y_digest(plans) == GREEDY_Y_DIGEST
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -13,8 +13,14 @@ from oracles import lp_oracle
 
 from ftfp import pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
-from ftfp.ftfl_bridge import split_counts
-from ftfp.ftfl_solvers import BudgetExceededError, IntegralSolution, solution_cost, subroutine
+from ftfp.ftfl_bridge import split_counts, to_capped
+from ftfp.ftfl_solvers import (
+    BudgetExceededError,
+    IntegralSolution,
+    solution_cost,
+    solve_exact,
+    subroutine,
+)
 from ftfp.instance import Instance, ParseError
 from ftfp.lp_core import (
     DualityReport,
@@ -280,8 +286,8 @@ def test_trace_holds_the_decomposition_behind_the_plan():
 def test_report_counters_certify_every_lp(instance_a):
     inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
     _, rep = solve_reduce(inst, subroutine("greedy"))
-    assert set(rep.counters) == {"lp", "residual_lp"}
-    for counters in rep.counters.values():
+    assert set(rep.counters) == {"lp", "residual_lp", "subroutine"}
+    for counters in (rep.counters["lp"], rep.counters["residual_lp"]):
         assert set(counters) == {
             "rows", "cols", "phase1_pivots", "phase2_pivots",
             "degenerate_pivots", "bland_pivots", "duality_gap",
@@ -293,7 +299,26 @@ def test_report_counters_certify_every_lp(instance_a):
     _, large = solve_large(instance_a)
     assert set(large.counters) == {"lp"}
     _, oracle = solve_oracle(instance_a)
-    assert set(oracle.counters) == {"lp"}
+    assert set(oracle.counters) == {"lp", "oracle"}
+
+
+def test_report_counters_carry_the_solver_counters():
+    inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
+    with solve_trace() as trace:
+        _, rep = solve_reduce(inst, subroutine("exact"))
+    res = residual_instance(trace.decomposition, inst)
+    search = solve_exact(to_capped(res, split_counts(trace.decomposition)))
+    assert rep.counters["subroutine"] == search.counters
+    assert set(search.counters) == {"nodes", "pruned_bound", "pruned_infeasible"}
+    assert search.counters["nodes"] >= 1
+    _, rep = solve_reduce(inst, subroutine("greedy"))
+    assert set(rep.counters["subroutine"]) == {"rounds"}
+    assert rep.counters["subroutine"]["rounds"] >= 1
+    _, rep = solve_oracle(inst)
+    caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
+    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps)).counters
+    # the counters are plain ints, so the report round-trips through JSON
+    assert parse_report(report_to_json(rep)).counters == rep.counters
 
 
 @pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])

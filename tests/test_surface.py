@@ -58,6 +58,7 @@ PUBLIC = [
     "trim_surplus",
     "trim_to_demand",
     "validate",
+    "verify_solution",
 ]
 
 
