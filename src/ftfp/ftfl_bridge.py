@@ -23,11 +23,12 @@ need max(max_j rbar_j, 2) copies per site (residual openings can exceed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .decompose import Decomposition
-from .instance import Instance
+from .instance import Instance, scan_order
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ class CappedInstance:
             raise ValueError("caps must be a nonnegative integer vector of length n")
         caps.setflags(write=False)
         object.__setattr__(self, "caps", caps)
+
+    @cached_property
+    def scan_order(self) -> list[list[int]]:
+        """Per client, base's sites in scan order (see instance.scan_order), sorted on first use.
+
+        Both solvers scan sites per client in this order; a solve_exact
+        call and the greedy incumbent it starts from share one sort.
+        """
+        return scan_order(self.base).T.tolist()
 
 
 def split_counts(dec: Decomposition) -> np.ndarray:

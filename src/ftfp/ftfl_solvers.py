@@ -65,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from .ftfl_bridge import CappedInstance
-from .instance import Instance
+from .instance import Instance, scan_order
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -110,27 +110,27 @@ def node_budget() -> int:
     return budget
 
 
-def _client_site_order(inst: Instance) -> list[np.ndarray]:
-    # per client: site indices by ascending distance, index as tie-break
-    return [np.lexsort((np.arange(inst.n), inst.dist[:, j])) for j in range(inst.m)]
-
-
 def optimal_assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
     """Optimal connections for a fixed opening vector (greedy per client)."""
+    return _assign(y, inst, scan_order(inst).T.tolist())
+
+
+def _assign(y: np.ndarray, inst: Instance, orders: list[list[int]]) -> tuple[np.ndarray, float]:
+    # orders[j]: client j's sites in scan order
     y = np.asarray(y, dtype=np.int64)
-    order = _client_site_order(inst)
+    have = y.tolist()
     x = np.zeros((inst.n, inst.m), dtype=np.int64)
     total = 0.0
-    for j in range(inst.m):
+    for j, (order, d) in enumerate(zip(orders, inst.dist.T.tolist())):
         rem = int(inst.demands[j])
-        for i in order[j]:
+        for i in order:
             if rem == 0:
                 break
-            take = min(int(y[i]), rem)
+            take = min(have[i], rem)
             if take:
                 x[i, j] = take
                 rem -= take
-                total += take * float(inst.dist[i, j])
+                total += take * d[i]
         if rem > 0:
             raise InfeasibleError(
                 f"client {j} needs {int(inst.demands[j])} distinct facilities, "
@@ -160,12 +160,11 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             f"opening-vector space {space} exceeds node budget {budget}"
         )
     _check_caps_cover(ci)
-    order = _client_site_order(inst)
     # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
     rows = [
-        (int(inst.demands[j]), [(int(i), float(inst.dist[i, j])) for i in order[j]])
-        for j in range(inst.m)
-        if inst.demands[j] > 0
+        (r, [(i, d[i]) for i in order])
+        for r, order, d in zip(inst.demands.tolist(), ci.scan_order, inst.dist.T.tolist())
+        if r > 0
     ]
     f = [float(v) for v in inst.site_costs]
     caps_list = [int(c) for c in caps]
@@ -225,7 +224,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     if best_y is None:  # float rounding pruned every leaf that ties the greedy value
         best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)
-    x, _ = optimal_assignment(yv, inst)
+    x, _ = _assign(yv, inst, ci.scan_order)
     counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
 
@@ -291,7 +290,7 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
                 a[i][j] += 1
                 served[j] += 1
     yv = np.array(y, dtype=np.int64)
-    x, _ = optimal_assignment(yv, inst)
+    x, _ = _assign(yv, inst, ci.scan_order)
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters={"rounds": rounds})
 
 

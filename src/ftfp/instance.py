@@ -90,6 +90,15 @@ class Instance:
         return int(self.demands.min())
 
 
+def scan_order(inst: Instance) -> np.ndarray:
+    """(n, m) site indices; column j lists the sites by ascending d_ij, lowest index on ties.
+
+    Every per-client fill (the LP's connections, integral assignments)
+    takes the sites in this order.
+    """
+    return np.argsort(inst.dist, axis=0, kind="stable")
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Parameters for the seeded unit-square instance generator."""

@@ -21,35 +21,67 @@ optimum.  Let u_j = min_k (f_k + d_kj).  Every dual-feasible point has
 beta_kj <= sum_j' beta_kj' <= f_k, hence alpha_j <= d_kj + beta_kj <=
 d_kj + f_k for every site k, so alpha_j <= u_j.  candidate_pairs keeps
 P = {(i, j) : d_ij <= u_j}, which holds each client's minimizing pair.
-The LP restricted to the x columns of P therefore has duals that obey
-the same bound, and every dropped pair has d_ij > u_j >= alpha_j: its
-edge constraint alpha_j - beta_ij <= d_ij holds with beta_ij = 0.  The
+The LP restricted to the pairs of P therefore has duals that obey the
+same bound, and every dropped pair has d_ij > u_j >= alpha_j: its edge
+constraint alpha_j - beta_ij <= d_ij holds with beta_ij = 0.  The
 restricted primal optimum padded with zeros and the restricted duals
 padded with beta_ij = 0 are thus feasible for the full relaxation with
 equal objectives, i.e. optimal for it, and check_duality on the full
 instance certifies them.  Caps break the bound (gamma_i lets sum_j
 beta_ij exceed f_i), so pruning applies to uncapped LPs only.
 
-The solver is a dense two-phase full-tableau simplex.  The entering
-column is the one with the most negative reduced cost (Dantzig's rule),
-ties going to the lowest column index; the leaving row is the minimum
-ratio, ties going to the lowest basic variable index.  After
-_DEGENERATE_RUN consecutive degenerate pivots (minimum ratio at most
-_PIVOT_EPS, so the objective does not move) the entering rule switches
-to Bland's, the lowest eligible column, until the next non-degenerate
-pivot.  Every choice is fixed by the data and the pivots made so far,
-with no randomness, so repeated runs agree bit for bit.  The method cannot cycle: a non-degenerate pivot strictly
-lowers the objective, so no basis repeats across one, and within a run
-of degenerate pivots Bland's rule, which never cycles (Bland 1977),
-takes over after finitely many steps.  Instances here are desk-sized,
-which makes the dense tableau the simplest correct choice.  The phase-1
-matrix [A sigma, -diag sigma] (rows scaled by sigma = +-1 so the RHS is
-nonnegative, then one surplus column per row) has full row rank because
-its surplus block alone is nonsingular, so no row is redundant: every
-tableau row has a nonzero entry outside the artificial columns, and an
-artificial still basic after phase 1 can always be pivoted out.  At
-optimality the basis system is re-solved directly (numpy linalg) so
-reported primal and dual values carry no accumulated pivot drift.
+The x variables never reach the solver.  With y fixed, client j's best
+connection cost over its kept sites P_j is, by LP duality,
+
+    g_j(y) = max_{a >= 0} [ r_j a - sum_{i in P_j} y_i max(0, a - d_ij) ],
+
+concave and piecewise linear in a with breakpoints at the d_lj.  When
+sum_{i in P_j} y_i >= r_j its slope past the last breakpoint is <= 0,
+so the maximum sits at a = 0 or at some a = d_lj, l in P_j.  The
+relaxation is therefore exactly the cut form (Benders 1962)
+
+    min  f.y + sum_j theta_j
+    s.t. sum_{i in P_j} y_i >= r_j                                 (lambda_j)
+         theta_j + sum_{i in P_j} max(0, d_lj - d_ij) y_i >= r_j d_lj
+                                              for l in P_j         (mu_lj)
+         -y_i >= -cap_i                                            (gamma_i)
+         y, theta >= 0,
+
+one optimality cut per kept pair.  build_lp returns its dual as min
+c.v, A v >= b, v >= 0: a row per y_i and per theta_j, a column per
+lambda_j, mu_lj and gamma_i, c = -(r_j, r_j d_lj, -cap_i) and b =
+-(f, 1).  As f >= 0, b <= 0 and the slack basis v = 0 is feasible, so
+the simplex needs no phase 1.  Infeasible caps leave the cut form with
+no feasible point while v = 0 stays feasible for its dual, so the dual
+is unbounded; the simplex finds that as an entering column with no
+positive entry and raises LpInfeasibleError.
+
+solve_lp maps the optimum back to the paper's variables.  y is the
+multiplier vector of the y rows.  x_ij fills each client's demand from
+y in scan order over its kept pairs (ascending d_ij, lowest site on
+ties), which attains g_j(y), so (x, y) costs the optimum.  The dual
+certificate is alpha_j = lambda_j + sum_l mu_lj d_lj, beta_ij =
+lambda_j + sum_l mu_lj max(0, d_lj - d_ij) on kept pairs (0 elsewhere)
+and gamma from the cap columns: each site budget is the dual's y_i
+row, alpha_j - beta_ij = sum_l mu_lj min(d_lj, d_ij) <= d_ij as the
+theta_j row bounds sum_l mu_lj by 1, and its value is the dual optimum.
+
+The solver is a dense full-tableau simplex.  The entering column is
+the one with the most negative reduced cost (Dantzig's rule), ties
+going to the lowest column index; the leaving row is the minimum ratio,
+ties going to the lowest basic variable index.  After _DEGENERATE_RUN
+consecutive degenerate pivots (minimum ratio at most _PIVOT_EPS, so the
+objective does not move) the entering rule switches to Bland's, the
+lowest eligible column, until the next non-degenerate pivot.  Every
+choice is fixed by the data and the pivots made so far, with no
+randomness, so repeated runs agree bit for bit.  The method cannot
+cycle: a non-degenerate pivot strictly lowers the objective, so no
+basis repeats across one, and within a run of degenerate pivots Bland's
+rule, which never cycles (Bland 1977), takes over after finitely many
+steps.  Instances here are desk-sized, which makes the dense tableau
+the simplest correct choice.  At optimality the basis system is
+re-solved directly (numpy linalg) so reported values carry no
+accumulated pivot drift.
 """
 
 from __future__ import annotations
@@ -58,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, scan_order
 
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
@@ -68,28 +100,27 @@ _DEGENERATE_RUN = 16
 
 
 class SimplexError(RuntimeError):
-    """Iteration limit or unbounded ray: indicates a solver bug for these LPs."""
+    """Iteration limit or values beyond tolerance: indicates a solver bug for these LPs."""
 
 
 class LpInfeasibleError(ValueError):
-    """Phase 1 could not zero the artificials; the LP has no feasible point."""
+    """The dual is unbounded, so the relaxation has no feasible point."""
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense min c.v subject to A v >= b, v >= 0, plus the instance shape.
+    """Dense min c.v subject to A v >= b, v >= 0: the dual of inst's cut form.
 
-    pairs is the (n, m) mask of the site-client pairs that have an x
-    column.  Column i holds y_i and column n + t holds x_ij for the t-th
-    kept pair in site-major order, so with every pair kept x_ij is
-    column n + i * m + j.
+    pairs is the (n, m) mask of the site-client pairs that are kept.
+    Row i is y_i and row n + j theta_j.  Column j is lambda_j, column
+    m + t mu_lj for the t-th kept pair (l, j) in site-major order, and
+    column m + |P| + i gamma_i when caps are given.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    n: int
-    m: int
+    inst: Instance
     pairs: np.ndarray
     caps: np.ndarray | None = None
 
@@ -139,11 +170,11 @@ def candidate_pairs(inst: Instance) -> np.ndarray:
 def build_lp(
     inst: Instance, caps: np.ndarray | None = None, pairs: np.ndarray | None = None
 ) -> LinearProgram:
-    """Assemble the relaxation; caps, when given, adds -y_i >= -cap_i rows.
+    """Assemble the dual of the cut form; caps, when given, adds a gamma_i column per site.
 
-    pairs, an (n, m) boolean mask, limits the x columns and linking rows
-    to the masked pairs (see candidate_pairs); None keeps every pair.
-    The mask is valid for uncapped LPs only, so giving both raises.
+    pairs, an (n, m) boolean mask, limits each client to its masked
+    sites (see candidate_pairs); None keeps every pair.  The mask is
+    valid for uncapped LPs only, so giving both raises.
     """
     n, m = inst.n, inst.m
     if pairs is None:
@@ -157,48 +188,60 @@ def build_lp(
         caps = np.asarray(caps, dtype=float)
         if caps.shape != (n,) or np.any(caps < 0):
             raise ValueError("caps must be a nonnegative (n,) vector")
-    site, client = np.nonzero(pairs)  # site-major
+    site, client = np.nonzero(pairs)  # kept pair t is the cut of (l, j) = (site[t], client[t])
     k = site.size
-    x_col = n + np.arange(k)
-    rows = k + m + (n if caps is not None else 0)
-    A = np.zeros((rows, n + k))
-    b = np.zeros(rows)
-    c = np.concatenate([inst.site_costs, inst.dist[site, client]])
-    A[np.arange(k), site] = 1.0  # linking: y_i - x_ij >= 0
-    A[np.arange(k), x_col] = -1.0
-    A[k + client, x_col] = 1.0  # coverage: sum_i x_ij >= r_j
-    b[k : k + m] = inst.demands
+    r = inst.demands.astype(float)
+    d_cut = inst.dist[site, client]
+    A = np.zeros((n + m, m + k + (n if caps is not None else 0)))
+    A[:n, :m] = -pairs.astype(float)  # lambda_j: -sum_{i in P_j} y_i
+    A[:n, m : m + k] = -np.where(pairs[:, client], np.maximum(d_cut - inst.dist[:, client], 0.0), 0.0)
+    A[n + client, m + np.arange(k)] = -1.0  # mu_lj: -theta_j
+    c = np.concatenate([-r, -r[client] * d_cut])
     if caps is not None:
-        A[k + m + np.arange(n), np.arange(n)] = -1.0
-        b[k + m :] = -caps
-    return LinearProgram(c=c, A=A, b=b, n=n, m=m, pairs=pairs, caps=caps)
+        A[np.arange(n), m + k + np.arange(n)] = 1.0  # gamma_i: +y_i
+        c = np.concatenate([c, caps])
+    b = -np.concatenate([inst.site_costs, np.ones(m)])
+    return LinearProgram(c=c, A=A, b=b, inst=inst, pairs=pairs, caps=caps)
 
 
 def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Two-phase simplex for min c.v, A v >= b, v >= 0 (dense; pricing as above).
+    """Simplex for min c.v, A v >= b, v >= 0 with b <= 0, from the slack basis (pricing as above).
 
-    Returns (v, duals, pivots) where duals are the multipliers of the >=
-    rows and pivots counts the work done (see solve_lp).
+    Returns (v, duals, counters) where duals are the multipliers of the
+    >= rows and counters the work done (see solve_lp).
     """
+    if np.any(b > 0):
+        raise ValueError("the slack basis is feasible only for b <= 0")
     nrows, nv = A.shape
-    sigma = np.where(b > 0.0, 1.0, -1.0)  # rows scaled so RHS >= 0
-    rhs = b * sigma
-    art_rows = np.nonzero(sigma > 0)[0]
-    n_art = art_rows.size
-    ncols = nv + nrows + n_art
+    ncols = nv + nrows
+    # rows -A v + s = -b, s >= 0 the slacks, which start basic at s = -b >= 0
     T = np.zeros((nrows, ncols + 1))
-    np.multiply(A, sigma[:, None], out=T[:, :nv])
-    T[np.arange(nrows), nv + np.arange(nrows)] = -sigma
-    T[art_rows, nv + nrows + np.arange(n_art)] = 1.0
-    T[:, -1] = rhs
-    basis = np.empty(nrows, dtype=np.int64)
-    basis[sigma < 0] = nv + np.nonzero(sigma < 0)[0]
-    basis[art_rows] = nv + nrows + np.arange(n_art)
-    pivots = {"phase1_pivots": 0, "phase2_pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
-
-    max_iter = 500 + 50 * (nrows + ncols)
-
-    def pivot(row: int, col: int):
+    np.negative(A, out=T[:, :nv])
+    T[np.arange(nrows), nv + np.arange(nrows)] = 1.0
+    T[:, -1] = -b
+    basis = nv + np.arange(nrows)
+    cost = np.zeros(ncols)
+    cost[:nv] = c
+    counters = {"pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
+    degenerate_run = 0
+    for _ in range(500 + 50 * (nrows + ncols)):
+        red = cost - cost[basis] @ T[:, :-1]
+        eligible = red < -_PIVOT_EPS
+        if not eligible.any():
+            break
+        bland = degenerate_run >= _DEGENERATE_RUN
+        if bland:
+            col = int(np.argmax(eligible))  # Bland: lowest eligible index enters
+        else:
+            col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
+        pos = T[:, col] > _PIVOT_EPS
+        if not pos.any():
+            raise LpInfeasibleError("no feasible point (the dual is unbounded)")
+        ratios = np.full(nrows, np.inf)
+        ratios[pos] = T[pos, -1] / T[pos, col]
+        rmin = ratios.min()
+        tied = np.nonzero(ratios <= rmin)[0]
+        row = int(tied[np.argmin(basis[tied])])  # lowest basic index leaves
         T[row] /= T[row, col]
         hit = np.nonzero(T[:, col])[0]
         hit = hit[hit != row]
@@ -206,71 +249,24 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
-
-    def run_phase(cost: np.ndarray, allowed: np.ndarray, phase: str):
-        degenerate_run = 0
-        for _ in range(max_iter):
-            red = cost - cost[basis] @ T[:, :-1]
-            eligible = (red < -_PIVOT_EPS) & allowed
-            if not eligible.any():
-                return
-            bland = degenerate_run >= _DEGENERATE_RUN
-            if bland:
-                col = int(np.argmax(eligible))  # Bland: lowest eligible index enters
-            else:
-                col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
-            pos = T[:, col] > _PIVOT_EPS
-            if not pos.any():
-                raise SimplexError("unbounded direction; the relaxation should be bounded")
-            ratios = np.full(T.shape[0], np.inf)
-            ratios[pos] = T[pos, -1] / T[pos, col]
-            rmin = ratios.min()
-            tied = np.nonzero(ratios <= rmin)[0]
-            row = int(tied[np.argmin(basis[tied])])  # lowest basic index leaves
-            pivot(row, col)
-            degenerate = bool(rmin <= _PIVOT_EPS)
-            degenerate_run = degenerate_run + 1 if degenerate else 0
-            pivots[phase] += 1
-            pivots["degenerate_pivots"] += degenerate
-            pivots["bland_pivots"] += bland
+        degenerate = bool(rmin <= _PIVOT_EPS)
+        degenerate_run = degenerate_run + 1 if degenerate else 0
+        counters["pivots"] += 1
+        counters["degenerate_pivots"] += degenerate
+        counters["bland_pivots"] += bland
+    else:
         raise SimplexError("iteration limit hit; pivoting is stuck")
-
-    # Phase 1: drive artificials to zero.
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[nv + nrows :] = 1.0
-        run_phase(cost1, np.ones(ncols, dtype=bool), "phase1_pivots")
-        if float(cost1[basis] @ T[:, -1]) > FEAS_TOL:
-            raise LpInfeasibleError("no feasible point (phase 1 stalled above zero)")
-        for row in range(nrows):
-            if basis[row] < nv + nrows:
-                continue
-            nz = np.nonzero(np.abs(T[row, : nv + nrows]) > _PIVOT_EPS)[0]
-            if not nz.size:  # impossible at full row rank, see the module docstring
-                raise SimplexError("a basic artificial cannot be pivoted out; the basis is singular")
-            pivot(row, int(nz[0]))
-            pivots["phase1_pivots"] += 1
-
-    # Phase 2: original objective, artificial columns barred from entering.
-    cost2 = np.zeros(ncols)
-    cost2[:nv] = c
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[nv + nrows :] = False
-    run_phase(cost2, allowed, "phase2_pivots")
 
     # Re-solve the final basis system against the original data: this
     # strips accumulated pivot error from both primal and dual values.
-    # B holds the basic columns of [A * sigma, -diag(sigma)].
+    # B holds the basic columns of [-A, I].
     B = np.zeros((nrows, nrows))
     structural = basis < nv
-    B[:, structural] = A[:, basis[structural]] * sigma[:, None]
-    slack_row = basis[~structural] - nv
-    B[slack_row, np.nonzero(~structural)[0]] = -sigma[slack_row]
-    xb = np.linalg.solve(B, rhs)
-    ybar = np.linalg.solve(B.T, cost2[basis])
+    B[:, structural] = -A[:, basis[structural]]
+    B[basis[~structural] - nv, np.nonzero(~structural)[0]] = 1.0
     v = np.zeros(ncols)
-    v[basis] = xb
-    return v[:nv], sigma * ybar, pivots
+    v[basis] = np.linalg.solve(B, -b)
+    return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters
 
 
 def solve_lp(
@@ -278,35 +274,38 @@ def solve_lp(
 ) -> tuple[FractionalSolution, DualSolution]:
     """Solve to optimality; returns primal point and matching dual certificate.
 
+    Both are in the paper's variables (recovery in the module docstring).
     When `counters` is given it receives the LP shape (rows, cols) and
-    the simplex work: phase1_pivots (including pivots that drive basic
-    artificials out), phase2_pivots, degenerate_pivots (ratio zero) and
+    the simplex work: pivots, degenerate_pivots (ratio zero) and
     bland_pivots (entering column chosen by the anti-cycling fallback).
     """
-    v, duals, pivots = _simplex_min(lp.A, lp.b, lp.c)
+    v, duals, work = _simplex_min(lp.A, lp.b, lp.c)
     if counters is not None:
-        counters.update(rows=lp.A.shape[0], cols=lp.A.shape[1], **pivots)
-    n, m, k = lp.n, lp.m, lp.A.shape[1] - lp.n
+        counters.update(rows=lp.A.shape[0], cols=lp.A.shape[1], **work)
     if v.min() < -FEAS_TOL or duals.min() < -FEAS_TOL:
         raise SimplexError("negative primal or dual values beyond tolerance")
     v = np.maximum(v, 0.0)
-    duals = np.maximum(duals, 0.0)
-    y = v[:n]
-    # pairs without a column carry x_ij = 0 and beta_ij = 0
+    inst, n, m = lp.inst, lp.inst.n, lp.inst.m
+    y = np.maximum(duals[:n], 0.0)
+    site, client = np.nonzero(lp.pairs)
+    k = site.size
+    # x: each client's demand filled from y in scan order over its kept pairs
+    order = scan_order(inst)
+    offer = np.take_along_axis(np.where(lp.pairs, y[:, None], 0.0), order, axis=0)
+    before = np.zeros_like(offer)  # what the sites earlier in scan order offer
+    np.cumsum(offer[:-1], axis=0, out=before[1:])
     x = np.zeros((n, m))
-    x[lp.pairs] = v[n:]
-    objective = float(lp.c @ v)
-    beta = np.zeros((n, m))
-    beta[lp.pairs] = duals[:k]
-    alpha = duals[k : k + m]
-    gamma = None
-    r = lp.b[k : k + m]  # coverage RHS block
-    dual_obj = float(alpha @ r)
-    if lp.caps is not None:
-        gamma = duals[k + m :]
-        dual_obj -= float(gamma @ lp.caps)
+    fill = np.clip(np.minimum(offer, inst.demands - before), 0.0, None)
+    np.put_along_axis(x, order, fill, axis=0)
+    objective = float(inst.site_costs @ y + inst.dist[lp.pairs] @ x[lp.pairs])
+    lam, mu = v[:m], v[m : m + k]
+    of_client = client[:, None] == np.arange(m)  # (k, m) one-hot of each cut's client
+    alpha = lam + (mu * inst.dist[site, client]) @ of_client
+    beta = np.where(lp.pairs, lam + (-lp.A[:n, m : m + k] * mu) @ of_client, 0.0)
+    gamma = v[m + k :] if lp.caps is not None else None
     primal = FractionalSolution(x=x, y=y, objective=objective)
-    dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=dual_obj)
+    # -c.v = sum_j r_j alpha_j - cap.gamma, the certificate's value
+    dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=float(-(lp.c @ v)))
     return primal, dual
 
 

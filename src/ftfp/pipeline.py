@@ -266,13 +266,14 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         )
     else:
         res = residual_instance(dec, inst)
+        # the subroutine runs first, so a refusal (BudgetExceededError) wastes no residual LP
+        t = time.perf_counter()
+        s2 = sub.solve(to_capped(res, split_counts(dec)))
+        wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
         res_lp, counters["residual_lp"] = _certified_lp(_live_clients(res), "residual LP")
         lp2 = res_lp.objective
         wall["residual_lp"] = time.perf_counter() - t
-        t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, split_counts(dec)))
-        wall["subroutine"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
 
     rho = _guarded_ratio(s2.cost, lp2, "residual stage cost")

@@ -152,8 +152,8 @@ def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
     assert dump.read_text() == "\n".join(want) + "\n"
     counters = json.loads(rep.read_text())["counters"]
     kept = int(candidate_pairs(inst).sum())
-    assert (counters["lp"]["rows"], counters["lp"]["cols"]) == (kept + inst.m, inst.n + kept)
-    assert counters["lp"]["phase1_pivots"] + counters["lp"]["phase2_pivots"] > 0
+    assert (counters["lp"]["rows"], counters["lp"]["cols"]) == (inst.n + inst.m, inst.m + kept)
+    assert counters["lp"]["pivots"] > 0
 
 
 def test_solve_failed_certificate_exits_one(inst_file, monkeypatch, capsys):

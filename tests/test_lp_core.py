@@ -38,25 +38,24 @@ def lp_objective(inst: Instance) -> float:
 def test_build_lp_shapes(instance_b):
     lp = build_lp(instance_b)
     n, m = instance_b.n, instance_b.m
-    nv = n + n * m  # y_i is column i, x_ij is column n + i * m + j
-    assert lp.A.shape == (n * m + m, nv)
-    assert lp.c.size == nv
-    # linking row for (i, j): y_i - x_ij >= 0
-    row = lp.A[1 * m + 0]
-    assert row[1] == 1.0 and row[n + 1 * m + 0] == -1.0
-    # coverage row for client 1 sums x over sites
-    cov = lp.A[n * m + 1]
-    assert cov[n + 0 * m + 1] == 1.0 and cov[n + 1 * m + 1] == 1.0
-    assert lp.b[n * m + 1] == 1.0
+    # rows y_i then theta_j; columns lambda_j then mu_lj per pair in site-major order
+    assert lp.A.shape == (n + m, m + n * m)
+    assert lp.c.size == m + n * m
+    assert lp.b.tolist() == [-1.0, -1.0, -1.0, -1.0]  # -(f, 1)
+    # lambda_1: -(y_0 + y_1), earning r_1
+    assert lp.A[:, 1].tolist() == [-1.0, -1.0, 0.0, 0.0] and lp.c[1] == -1.0
+    # mu of the cut (l, j) = (1, 0): theta_0 + max(0, d_10 - d_00) y_0 >= r_0 d_10 = 2
+    col = m + 1 * m + 0
+    assert lp.A[:, col].tolist() == [-2.0, 0.0, -1.0, 0.0] and lp.c[col] == -2.0
 
 
 def test_build_lp_caps_rows(instance_a):
     caps = np.array([2.0, 2.0])
     lp = build_lp(instance_a, caps)
     n, m = instance_a.n, instance_a.m
-    assert lp.A.shape[0] == n * m + m + n
-    assert lp.A[n * m + m + 0, 0] == -1.0
-    assert lp.b[n * m + m + 0] == -2.0
+    assert lp.A.shape == (n + m, m + n * m + n)
+    assert lp.A[0, m + n * m + 0] == 1.0  # gamma_0 relaxes y_0's row, at cost cap_0
+    assert lp.c[m + n * m + 0] == 2.0
     with pytest.raises(ValueError, match="caps"):
         build_lp(instance_a, np.array([1.0]))
     with pytest.raises(ValueError, match="caps"):
@@ -64,24 +63,31 @@ def test_build_lp_caps_rows(instance_a):
 
 
 def loop_built_lp(inst: Instance, caps: np.ndarray | None = None):
-    """(A, b, c) of the full relaxation, one entry at a time: the reference layout."""
+    """(A, b, c) of the dual of the full cut form, one entry at a time: the reference layout."""
     n, m = inst.n, inst.m
-    rows = n * m + m + (n if caps is not None else 0)
-    A = np.zeros((rows, n + n * m))
-    b = np.zeros(rows)
-    c = np.concatenate([inst.site_costs, inst.dist.ravel()])
+    cols = m + n * m + (n if caps is not None else 0)
+    A = np.zeros((n + m, cols))
+    b = np.zeros(n + m)
+    c = np.zeros(cols)
     for i in range(n):
-        for j in range(m):
-            A[i * m + j, i] = 1.0
-            A[i * m + j, n + i * m + j] = -1.0
+        b[i] = -inst.site_costs[i]
     for j in range(m):
+        b[n + j] = -1.0
+        c[j] = -float(inst.demands[j])
         for i in range(n):
-            A[n * m + j, n + i * m + j] = 1.0
-        b[n * m + j] = float(inst.demands[j])
+            A[i, j] = -1.0
+    t = m
+    for l in range(n):
+        for j in range(m):
+            c[t] = -float(inst.demands[j]) * inst.dist[l, j]
+            A[n + j, t] = -1.0
+            for i in range(n):
+                A[i, t] = -max(0.0, inst.dist[l, j] - inst.dist[i, j])
+            t += 1
     if caps is not None:
         for i in range(n):
-            A[n * m + m + i, i] = -1.0
-            b[n * m + m + i] = -caps[i]
+            A[i, t + i] = 1.0
+            c[t + i] = caps[i]
     return A, b, c
 
 
@@ -110,13 +116,13 @@ def test_pair_mask_with_caps_raises(instance_a):
 
 def test_pruned_lp_layout(instance_a):
     # f = (3, 10), d = (1, 2): u = min(3 + 1, 10 + 2) = 4, so both pairs stay;
-    # raising d_1 to 5 > 4 drops site 1's pair and its linking row
+    # raising d_1 to 5 > 4 drops site 1's pair, its cut column and its y_1 entries
     far = Instance(instance_a.site_costs, instance_a.demands, np.array([[1.0], [5.0]]))
     mask = candidate_pairs(far)
     assert mask.tolist() == [[True], [False]]
     lp = build_lp(far, pairs=mask)
-    assert lp.A.tolist() == [[1.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
-    assert lp.b.tolist() == [0.0, 2.0] and lp.c.tolist() == [3.0, 10.0, 1.0]
+    assert lp.A.tolist() == [[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+    assert lp.b.tolist() == [-3.0, -10.0, -1.0] and lp.c.tolist() == [-2.0, -2.0]
     primal, dual = solve_lp(lp)
     assert primal.x.shape == dual.beta.shape == (2, 1)
     assert primal.x.tolist() == [[2.0], [0.0]] and dual.beta[1, 0] == 0.0
@@ -237,12 +243,12 @@ def test_solve_lp_counters(instance_b):
     counters: dict = {}
     solve_lp(build_lp(instance_b), counters)
     n, m = instance_b.n, instance_b.m
-    assert counters["rows"] == n * m + m
-    assert counters["cols"] == n + n * m
-    assert counters["phase1_pivots"] >= m  # every coverage row starts on an artificial
-    for key in ("phase2_pivots", "degenerate_pivots", "bland_pivots"):
-        assert counters[key] >= 0
-    assert counters["degenerate_pivots"] <= counters["phase1_pivots"] + counters["phase2_pivots"]
+    assert set(counters) == {"rows", "cols", "pivots", "degenerate_pivots", "bland_pivots"}
+    assert counters["rows"] == n + m
+    assert counters["cols"] == m + n * m
+    assert counters["pivots"] >= 1  # the slack basis v = 0 is not optimal when demand is positive
+    assert counters["degenerate_pivots"] <= counters["pivots"]
+    assert counters["bland_pivots"] <= counters["pivots"]
 
 
 def test_zero_demand_clients_do_not_move_the_optimum():
@@ -292,13 +298,19 @@ def test_degenerate_lp_matches_reference_solver(seed):
     assert rep.ok, rep.messages
 
 
-def test_degenerate_family_drives_the_bland_fallback():
-    # the anti-cycling path must be exercised, not only present
+def test_degenerate_family_drives_the_bland_fallback(monkeypatch):
+    # the anti-cycling path must be exercised, not only present; in the cut form
+    # no run here reaches 16 degenerate pivots, so the fallback starts after one
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 1)
     fallback = 0
     for seed in DEGENERATE_SEEDS:
+        inst = degenerate_instance(seed)
         counters: dict = {}
-        solve_lp(build_lp(degenerate_instance(seed)), counters)
-        fallback += counters["bland_pivots"] > 0
+        primal, dual = solve_lp(build_lp(inst), counters)
+        if counters["bland_pivots"] > 0:
+            fallback += 1
+            assert close(primal.objective, lp_oracle(inst)), seed
+            assert check_duality(primal, dual, inst).ok, seed
     assert fallback >= 1
 
 
@@ -310,10 +322,7 @@ def test_dantzig_pricing_cuts_pivots(monkeypatch):
     bland: dict = {}
     solve_lp(build_lp(inst), bland)
 
-    def total(c):
-        return c["phase1_pivots"] + c["phase2_pivots"]
-
-    assert 2 * total(dantzig) < total(bland), (dantzig, bland)
+    assert 2 * dantzig["pivots"] < bland["pivots"], (dantzig, bland)
 
 
 @pytest.mark.parametrize("seed", range(8000, 8010))
@@ -323,9 +332,8 @@ def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 0)
     counters: dict = {}
     primal, dual = solve_lp(build_lp(inst), counters)
-    # every priced pivot is Bland's; phase 1 also counts unpriced drive-out pivots
-    assert counters["phase2_pivots"] <= counters["bland_pivots"]
-    assert counters["bland_pivots"] <= counters["phase1_pivots"] + counters["phase2_pivots"]
+    # every pivot is priced by Bland's rule
+    assert counters["bland_pivots"] == counters["pivots"]
     assert close(primal.objective, dantzig.objective)
     assert close(primal.objective, lp_oracle(inst))
     assert check_duality(primal, dual, inst).ok
@@ -383,6 +391,27 @@ def test_pruned_lp_with_free_sites_keeps_only_nearest(seed):
     free = Instance(np.zeros(n), inst.demands, dist)
     mask = assert_pruned_lp_is_exact(free)
     assert np.array_equal(mask, dist == dist.min(axis=0))
+
+
+def loop_fill(y: np.ndarray, inst: Instance, mask: np.ndarray) -> np.ndarray:
+    """Each client's demand taken from y over its masked sites, nearest first, lowest index on ties."""
+    x = np.zeros((inst.n, inst.m))
+    for j in range(inst.m):
+        rem = float(inst.demands[j])
+        for i in sorted(range(inst.n), key=lambda i: (inst.dist[i, j], i)):
+            if mask[i, j]:
+                x[i, j] = min(y[i], rem)
+                rem -= x[i, j]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_connections_fill_y_in_scan_order(seed):
+    for inst in (random_instance(900 + seed, sites=5, clients=6, demand_min=0, demand_max=4),
+                 degenerate_instance(8100 + seed)):
+        for mask in (np.ones((inst.n, inst.m), dtype=bool), candidate_pairs(inst)):
+            primal, _ = solve_lp(build_lp(inst, pairs=mask))
+            assert np.allclose(primal.x, loop_fill(primal.y, inst, mask), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -79,25 +79,25 @@ CASES = {
     "s3": (5, 6, 2, 4, 3),
 }
 DIGESTS = {
-    "s7.caps.lp": "d0b4caf2efc41ba6e3cb7bbc56744c782def8dfe1385ca2a9e960c12d7b7bb7d",
+    "s7.caps.lp": "8a7b27c6d23ab08449db5c6bd5b1c83629bd16066a778aa1e0c7132ac2911068",
     "s7.ftfp": "fd290758fa68c690d351539d9a7e13126af2f8b9b21acc3b9a5597e49520b435",
     "s7.large.dec": "51dbc90399c92d6bffab634a7b85c628d236fbc00d7855d4af7fbd526afc0c54",
     "s7.large.sol": "8400635d22585166a673d4c089c855b96fe20c3890924c5b9510ae850a0f5481",
-    "s7.lp": "1a26c0c55009868dd410ddd1bee3260cfae3d17868300a91eb1ab1d2cc324ef7",
+    "s7.lp": "ab9e3c68489f5f1f98a750ed351ca30988420325d28fc030e22358a406116649",
     "s7.reduce.dec": "1e75a41bd03b15caad71790a599560367a061858bcb6666a7666acf825bf5a73",
     "s7.reduce.sol": "8400635d22585166a673d4c089c855b96fe20c3890924c5b9510ae850a0f5481",
-    "s100.caps.lp": "7c0870e1c0e40b9be0487468a5d88ef33e111eae7ceed4b39ae902caff6fde3b",
+    "s100.caps.lp": "fb1c9dc962b2d5d6a18688de6a7d36fb8156b5ab88819487bae56eab7710466b",
     "s100.ftfp": "6066f2e759ce741ae7ade756c6ac0214eae557c1511eeaad3d4cb82eeaa5a5ad",
     "s100.large.dec": "d201d8f1b085d4ca510b6d9943063f36d1af0bd167da65b0450cd2a8137d1e7f",
     "s100.large.sol": "89c7208cbcda52e6634c9a139d8a8d93309c8217c5f3f248cc2b34b89519fafe",
-    "s100.lp": "ae8cb70bd16cd14995e01324689f02e46c5d8c093405bb900fd45ce699583c0e",
+    "s100.lp": "ab6e0454c1e2a616189fe2c8f436bc39ee0618c6e4c65816de3ebcc1ff1e09d9",
     "s100.reduce.dec": "be170c1eb3a6a5efaccbd375edd6381f5c52aa8eb66aa6d2fd50a7b397b325d8",
     "s100.reduce.sol": "9e419316470a1ba2d1ebca91525dba0c12e4a222f4d4aaa2e8d453e3cf4978a4",
-    "s3.caps.lp": "b53f66de9e3443874108a7f182ea09f7af95e297794be373010365110c8c458b",
+    "s3.caps.lp": "4518f7a51059dfb1e34378feda6d4dcbbd6656636c9d4df65150bbe42e2ddd48",
     "s3.ftfp": "f40487633bd3db0f16cee5bf9d0eab42e85b4a506c329653e435087bc7c4b402",
     "s3.large.dec": "2b0fd8434a2b5f42d05064376313612433fd51d7089a263d79ed131525d798fe",
     "s3.large.sol": "72df176bd691e3496b6a380e0872fad07dbfc0daf2109f873f908447a3370ef1",
-    "s3.lp": "fce65be92f5ac3fe89879b2c49f0a0d947f0a949d893b052cca9cbb19242c7fe",
+    "s3.lp": "ed9f7bcb9f42b86cf972732a7b81aa711eb3e9774a17b4f6e22c360e22e3c5ee",
     "s3.reduce.dec": "dd9d8524f04512bf33684b5727d4849801707b7fcd3338313fcbf9bc93cf83cc",
     "s3.reduce.sol": "73b0e66ebb5484e541d8d2d3c71b537c951cea95855b094810e21406a835e964",
 }
