@@ -129,11 +129,6 @@ def decompose_large(sol: FractionalSolution, inst: Instance) -> Decomposition:
     return _decompose(sol, inst, "large")
 
 
-def integral_part_cost(dec: Decomposition, inst: Instance) -> float:
-    """Cost of opening y-hat and routing x-hat as-is."""
-    return float(inst.site_costs @ dec.yhat + (inst.dist * dec.xhat).sum())
-
-
 def residual_instance(dec: Decomposition, inst: Instance) -> Instance:
     """Same geometry, demands replaced by what is left for the residual stage."""
     return Instance(inst.site_costs, dec.rbar, inst.dist, name=f"{inst.name}/residual")

@@ -1,12 +1,17 @@
 """Integral solvers for capped placement instances.
 
+The paper hands each residual to a facility-location solver that opens
+a site at most once, by splitting site i into K copies with the same
+opening cost and distances; a plan over copies merges back by summing
+per site.  The solvers never see the split form.  A CappedInstance is
+the original instance plus caps y_i <= cap_i, the same problem: a split
+plan merges to a capped one and a capped plan spreads over the copies,
+at equal cost.  tests/oracles.py keeps the split form as the reference
+for that equivalence.
+
 Both solvers exploit the same structural fact: once the opening vector
 y is fixed, the best connection plan decomposes per client, and for one
-client it is greedy.  Client j needs r_j units on pairwise distinct
-facilities, site i offers min(y_i, remaining) of them at d_ij apiece,
-so scanning sites by ascending distance is optimal (an exchange
-argument: any plan skipping a cheaper available facility can swap one
-unit onto it without losing feasibility).
+client it takes y's facilities in scan order (instance.scan_fill).
 
 solve_exact   Depth-first branch and bound over opening vectors, sites
               in index order, y_i from 0 upward.  A node's lower bound
@@ -60,12 +65,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .ftfl_bridge import CappedInstance
-from .instance import Instance, scan_order
+from .instance import Instance, scan_fill, scan_order
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -77,6 +82,31 @@ class InfeasibleError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """The exact search space or node count exceeds the configured budget."""
+
+
+@dataclass(frozen=True)
+class CappedInstance:
+    """An instance plus per-site opening caps: open at most caps_i at site i."""
+
+    base: Instance
+    caps: np.ndarray  # (n,) int
+
+    def __post_init__(self):
+        caps = np.asarray(self.caps, dtype=np.int64)
+        if caps.shape != (self.base.n,) or np.any(caps < 0):
+            raise ValueError("caps must be a nonnegative integer vector of length n")
+        caps.setflags(write=False)
+        object.__setattr__(self, "caps", caps)
+
+    @cached_property
+    def scan_order(self) -> np.ndarray:
+        """scan_order(base), sorted on first use: solve_exact and its greedy incumbent share it."""
+        return scan_order(self.base)
+
+
+def to_capped(inst: Instance, copies: np.ndarray) -> CappedInstance:
+    """The split instance with `copies` copies per site, in capped form."""
+    return CappedInstance(base=inst, caps=copies)
 
 
 @dataclass(frozen=True)
@@ -112,31 +142,22 @@ def node_budget() -> int:
 
 def optimal_assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
     """Optimal connections for a fixed opening vector (greedy per client)."""
-    return _assign(y, inst, scan_order(inst).T.tolist())
+    x = _assign(y, inst, scan_order(inst))
+    return x, float((inst.dist * x).sum())
 
 
-def _assign(y: np.ndarray, inst: Instance, orders: list[list[int]]) -> tuple[np.ndarray, float]:
-    # orders[j]: client j's sites in scan order
+def _assign(y: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
+    """scan_fill of y's facilities; raises InfeasibleError when a client stays short."""
     y = np.asarray(y, dtype=np.int64)
-    have = y.tolist()
-    x = np.zeros((inst.n, inst.m), dtype=np.int64)
-    total = 0.0
-    for j, (order, d) in enumerate(zip(orders, inst.dist.T.tolist())):
-        rem = int(inst.demands[j])
-        for i in order:
-            if rem == 0:
-                break
-            take = min(have[i], rem)
-            if take:
-                x[i, j] = take
-                rem -= take
-                total += take * d[i]
-        if rem > 0:
-            raise InfeasibleError(
-                f"client {j} needs {int(inst.demands[j])} distinct facilities, "
-                f"only {int(y.sum())} are open"
-            )
-    return x, total
+    x = scan_fill(np.broadcast_to(y[:, None], (inst.n, inst.m)), inst, order)
+    short = np.nonzero(x.sum(axis=0) < inst.demands)[0]
+    if short.size:
+        j = int(short[0])
+        raise InfeasibleError(
+            f"client {j} needs {int(inst.demands[j])} distinct facilities, "
+            f"only {int(y.sum())} are open"
+        )
+    return x
 
 
 def _check_caps_cover(ci: CappedInstance) -> None:
@@ -163,7 +184,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
     rows = [
         (r, [(i, d[i]) for i in order])
-        for r, order, d in zip(inst.demands.tolist(), ci.scan_order, inst.dist.T.tolist())
+        for r, order, d in zip(inst.demands.tolist(), ci.scan_order.T.tolist(), inst.dist.T.tolist())
         if r > 0
     ]
     f = [float(v) for v in inst.site_costs]
@@ -224,7 +245,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     if best_y is None:  # float rounding pruned every leaf that ties the greedy value
         best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)
-    x, _ = _assign(yv, inst, ci.scan_order)
+    x = _assign(yv, inst, ci.scan_order)
     counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
 
@@ -238,10 +259,9 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
     demands = [int(r) for r in inst.demands]
     f = [float(v) for v in inst.site_costs]
     # per site: (client, d_ij) by ascending distance, client index as tie-break
-    by_site = [
-        [(int(j), float(inst.dist[i, j])) for j in np.lexsort((np.arange(m), inst.dist[i, :]))]
-        for i in range(n)
-    ]
+    order = np.argsort(inst.dist, axis=1, kind="stable")
+    sorted_dist = np.take_along_axis(inst.dist, order, axis=1)
+    by_site = [list(zip(js, ds)) for js, ds in zip(order.tolist(), sorted_dist.tolist())]
     y = [0] * n
     a = [[0] * m for _ in range(n)]  # tentative connections
     served = [0] * m
@@ -290,7 +310,7 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
                 a[i][j] += 1
                 served[j] += 1
     yv = np.array(y, dtype=np.int64)
-    x, _ = _assign(yv, inst, ci.scan_order)
+    x = _assign(yv, inst, ci.scan_order)
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters={"rounds": rounds})
 
 

@@ -93,10 +93,25 @@ class Instance:
 def scan_order(inst: Instance) -> np.ndarray:
     """(n, m) site indices; column j lists the sites by ascending d_ij, lowest index on ties.
 
-    Every per-client fill (the LP's connections, integral assignments)
-    takes the sites in this order.
+    Every per-client fill (scan_fill, keep_cheapest, the exact solver's
+    bound) takes the sites in this order.
     """
     return np.argsort(inst.dist, axis=0, kind="stable")
+
+
+def scan_fill(offer: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
+    """(n, m) fill x_ij = max(0, min(offer_ij, r_j - what the sites before i in order offer j)).
+
+    With order = scan_order(inst) it is client j's cheapest way to take r_j
+    units from offer_ij per site: a plan that skips a nearer unit can move
+    one unit onto it at no loss.  x has offer's dtype, float or integer.
+    """
+    ordered = np.take_along_axis(offer, order, axis=0)
+    before = np.zeros_like(ordered)  # what the sites earlier in scan order offer
+    np.cumsum(ordered[:-1], axis=0, out=before[1:])
+    x = np.zeros_like(ordered)
+    np.put_along_axis(x, order, np.clip(np.minimum(ordered, inst.demands - before), 0, None), axis=0)
+    return x
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,11 @@ theta_j row bounds sum_l mu_lj by 1, and its value is the dual optimum.
 The solver is a dense full-tableau simplex.  The entering column is
 the one with the most negative reduced cost (Dantzig's rule), ties
 going to the lowest column index; the leaving row is the minimum ratio,
-ties going to the lowest basic variable index.  After _DEGENERATE_RUN
+ties going to the lowest basic variable index.  Reduced costs are
+recomputed in floats from the tableau before every pivot, so columns
+whose reduced costs agree in exact arithmetic can differ in the last
+bits: "lowest column index" only separates bitwise-equal reduced
+costs, and rounding decides the rest.  After _DEGENERATE_RUN
 consecutive degenerate pivots (minimum ratio at most _PIVOT_EPS, so the
 objective does not move) the entering rule switches to Bland's, the
 lowest eligible column, until the next non-degenerate pivot.  Every
@@ -90,7 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, scan_order
+from .instance import Instance, scan_fill, scan_order
 
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
@@ -289,14 +293,7 @@ def solve_lp(
     y = np.maximum(duals[:n], 0.0)
     site, client = np.nonzero(lp.pairs)
     k = site.size
-    # x: each client's demand filled from y in scan order over its kept pairs
-    order = scan_order(inst)
-    offer = np.take_along_axis(np.where(lp.pairs, y[:, None], 0.0), order, axis=0)
-    before = np.zeros_like(offer)  # what the sites earlier in scan order offer
-    np.cumsum(offer[:-1], axis=0, out=before[1:])
-    x = np.zeros((n, m))
-    fill = np.clip(np.minimum(offer, inst.demands - before), 0.0, None)
-    np.put_along_axis(x, order, fill, axis=0)
+    x = scan_fill(np.where(lp.pairs, y[:, None], 0.0), inst, scan_order(inst))
     objective = float(inst.site_costs @ y + inst.dist[lp.pairs] @ x[lp.pairs])
     lam, mu = v[:m], v[m : m + k]
     of_client = client[:, None] == np.arange(m)  # (k, m) one-hot of each cut's client
@@ -375,12 +372,13 @@ def keep_cheapest(x: np.ndarray, inst: Instance) -> np.ndarray:
     integer x alike; returns each column's sum before the cut.
     """
     have = np.empty(inst.m, dtype=x.dtype)
+    order = scan_order(inst)
     for j in range(inst.m):
         have[j] = x[:, j].sum()
         if have[j] <= inst.demands[j]:
             continue
         remaining = x.dtype.type(inst.demands[j])
-        for i in sorted(range(inst.n), key=lambda i: (inst.dist[i, j], i)):
+        for i in order[:, j]:
             take = min(x[i, j], remaining)
             x[i, j] = take
             remaining -= take

@@ -41,15 +41,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decompose import (
-    Decomposition,
-    decompose_large,
-    decompose_reduce,
-    integral_part_cost,
-    residual_instance,
-)
-from .ftfl_bridge import split_counts, to_capped
-from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact
+from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
+from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact, to_capped
 from .instance import Instance, ParseError, _ints, _take, _tokens, format_records
 from .lp_core import (
     FractionalSolution,
@@ -208,6 +201,13 @@ def _report(
     return plan, report
 
 
+def split_counts(dec: Decomposition) -> np.ndarray:
+    """Residual copies per site: max(max rbar, 2) in reduce mode (openings reach 2), else n - 1."""
+    n = dec.yhat.size
+    k = max(int(dec.rbar.max()), 2) if dec.mode == "reduce" else n - 1
+    return np.full(n, k, dtype=np.int64)
+
+
 def _guarded_ratio(num: float, den: float, what: str) -> float:
     if den > _ZERO_COST_TOL:
         return num / den
@@ -254,7 +254,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     trace = _ACTIVE_TRACE.get()
     if trace is not None:
         trace.decomposition = dec
-    s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=integral_part_cost(dec, inst))
+    s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=solution_cost(inst, dec.yhat, dec.xhat))
 
     lp2 = 0.0
     wall["residual_lp"] = wall["subroutine"] = 0.0

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from ftfp.ftfl_bridge import CappedInstance
-from ftfp.ftfl_solvers import IntegralSolution
+from ftfp.ftfl_solvers import CappedInstance, IntegralSolution
 from ftfp.instance import Instance
 
 

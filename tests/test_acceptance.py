@@ -17,8 +17,7 @@ from oracles import enumerate_optimum, materialize_split, merge_solution
 
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_bridge import to_capped
-from ftfp.ftfl_solvers import solve_exact
+from ftfp.ftfl_solvers import solve_exact, to_capped
 from ftfp.instance import Instance, serialize_instance
 from ftfp.lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
 from ftfp.pipeline import solve_large, solve_oracle, solve_reduce, verify_solution

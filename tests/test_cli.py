@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ftfp import pipeline
+from ftfp import cli, pipeline
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
@@ -82,6 +83,21 @@ def test_lp_dump_format(inst_file, tmp_path):
     assert lines[1] == "2 1"
     # y row, two x rows, alpha row, two beta rows
     assert len(lines) == 2 + 1 + 2 + 1 + 2
+
+
+@pytest.mark.parametrize("caps", [[], ["--caps", "uniform:2"]])
+def test_lp_failed_certificate_exits_one_before_any_output(inst_file, tmp_path, monkeypatch, capsys, caps):
+    def broken(lp, counters=None):
+        primal, dual = solve_lp(lp, counters)
+        return primal, dataclasses.replace(dual, alpha=dual.alpha + 1.0)
+
+    monkeypatch.setattr(cli, "solve_lp", broken)
+    dump = tmp_path / "lp.txt"
+    assert main(["lp", "--in", inst_file, *caps, "--dump", str(dump)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "duality check" in err
+    assert not dump.exists()
 
 
 def test_lp_rejects_bad_caps_syntax(inst_file):

@@ -12,10 +12,10 @@ from ftfp.decompose import (
     SNAP_TOL,
     decompose_large,
     decompose_reduce,
-    integral_part_cost,
     residual_instance,
     snap,
 )
+from ftfp.ftfl_solvers import solution_cost
 from ftfp.instance import Instance
 from ftfp.lp_core import FractionalSolution, build_lp, solve_lp, trim_to_demand
 
@@ -80,7 +80,7 @@ def test_fixture_a_reduce_trace(instance_a):
     assert np.array_equal(dec.xbar.ravel(), [1.0, 0.0])
     assert dec.residual_is_feasible
     assert not dec.residual_empty
-    assert integral_part_cost(dec, instance_a) == 4.0
+    assert solution_cost(instance_a, dec.yhat, dec.xhat) == 4.0
     assert residual_fractional_cost(dec, instance_a) == 4.0
 
 
@@ -90,7 +90,7 @@ def test_fixture_a_large_trace(instance_a):
     assert np.array_equal(dec.yhat, [2, 0])
     assert np.array_equal(dec.rbar, [0])
     assert dec.residual_empty
-    assert integral_part_cost(dec, instance_a) == 8.0
+    assert solution_cost(instance_a, dec.yhat, dec.xhat) == 8.0
     assert residual_fractional_cost(dec, instance_a) == 0.0
 
 
@@ -160,7 +160,7 @@ def test_decomposition_properties(seed):
         assert np.array_equal(dec.rhat + dec.rbar, inst.demands)
         assert np.array_equal(dec.rhat, dec.xhat.sum(axis=0))
         # cost splits exactly the same way
-        total = integral_part_cost(dec, inst) + residual_fractional_cost(dec, inst)
+        total = solution_cost(inst, dec.yhat, dec.xhat) + residual_fractional_cost(dec, inst)
         assert abs(total - sol.objective) <= 1e-9 * (1.0 + sol.objective)
         if mode == "reduce":
             assert dec.residual_is_feasible

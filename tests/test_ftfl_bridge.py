@@ -9,9 +9,9 @@ from conftest import random_instance
 from oracles import enumerate_optimum, lp_oracle, materialize_split, merge_solution
 
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_bridge import CappedInstance, split_counts, to_capped
-from ftfp.ftfl_solvers import IntegralSolution, solution_cost, solve_exact
+from ftfp.ftfl_solvers import CappedInstance, IntegralSolution, solution_cost, solve_exact, to_capped
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
+from ftfp.pipeline import split_counts
 
 
 def lp_point(inst):

@@ -11,11 +11,11 @@ from conftest import random_instance
 from oracles import enumerate_optimum, matching_assignment_cost
 
 from ftfp import ftfl_solvers
-from ftfp.ftfl_bridge import CappedInstance, to_capped
 from ftfp.ftfl_solvers import (
     DEFAULT_NODE_BUDGET,
     NODE_BUDGET_ENV,
     BudgetExceededError,
+    CappedInstance,
     InfeasibleError,
     optimal_assignment,
     node_budget,
@@ -23,6 +23,7 @@ from ftfp.ftfl_solvers import (
     solve_exact,
     solve_greedy,
     subroutine,
+    to_capped,
 )
 from ftfp.instance import GenParams, Instance, generate
 
@@ -69,6 +70,30 @@ def test_assignment_matches_bipartite_matching(seed):
     # optimality against an independent matching formulation
     want = matching_assignment_cost(inst, y)
     assert abs(conn - want) <= 1e-9 * (1.0 + want), (conn, want)
+
+
+def loop_assignment(y: np.ndarray, inst: Instance) -> np.ndarray:
+    """Each client takes y's facilities nearest first, lowest site index on ties, in plain loops."""
+    x = np.zeros((inst.n, inst.m), dtype=np.int64)
+    for j in range(inst.m):
+        rem = int(inst.demands[j])
+        for i in sorted(range(inst.n), key=lambda i: (inst.dist[i, j], i)):
+            x[i, j] = min(int(y[i]), rem)
+            rem -= x[i, j]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assignment_equals_the_loop_fill_on_tied_distances(seed):
+    # distances on a 0.25 grid, so many clients see ties between sites
+    base = random_instance(12000 + seed, sites=6, clients=7, demand_min=0, demand_max=4)
+    inst = Instance(base.site_costs, base.demands, np.round(base.dist * 4) / 4)
+    y = np.random.default_rng(seed).integers(0, 3, inst.n)
+    y[seed % inst.n] += inst.max_demand
+    x, conn = optimal_assignment(y, inst)
+    assert x.dtype == np.int64
+    assert np.array_equal(x, loop_assignment(y, inst))
+    assert conn == solution_cost(inst, np.zeros(inst.n, dtype=np.int64), x)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from oracles import lp_oracle
 
 from ftfp import pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
-from ftfp.ftfl_bridge import split_counts, to_capped
 from ftfp.ftfl_solvers import (
     BudgetExceededError,
     IntegralSolution,
     solution_cost,
     solve_exact,
     subroutine,
+    to_capped,
 )
 from ftfp.instance import Instance, ParseError
 from ftfp.lp_core import (
@@ -42,6 +42,7 @@ from ftfp.pipeline import (
     solve_oracle,
     solve_reduce,
     solve_trace,
+    split_counts,
     trim_surplus,
     verify_solution,
 )

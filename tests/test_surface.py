@@ -35,7 +35,6 @@ PUBLIC = [
     "decompose_large",
     "decompose_reduce",
     "generate",
-    "integral_part_cost",
     "optimal_assignment",
     "parse_instance",
     "parse_report",
