@@ -14,30 +14,63 @@ y is fixed, the best connection plan decomposes per client, and for one
 client it takes y's facilities in scan order (instance.scan_fill).
 
 solve_exact   Depth-first branch and bound over opening vectors, sites
-              in index order, y_i from 0 upward.  A node's lower bound
-              is the opening cost of the decided sites plus the optimal
-              connection cost when every undecided site is opened to
-              its cap; capacities only shrink deeper in the tree, so
-              the bound is valid.  Costs accumulate in the same order
-              as at the leaves, so in floats a bound can exceed a leaf
-              below it only by rounding at a near-tie of distances.
-              The bound walks one row per client with demand, built
-              once per call: r_j and its (site, distance) pairs in scan
-              order as python ints and floats, so no node indexes a
-              numpy array.
+              in index order, y_i from 0 upward.  A node is tested in
+              three steps, cheapest first:
+              1. Cover.  Any client may use any site, so the subtree
+                 can serve everyone iff the decided openings plus the
+                 undecided caps sum to at least max_j r_j; a running
+                 sum makes this O(1).
+              2. Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
+                 and Nemhauser 1977).  Relax the coverage rows with
+                 multipliers alpha_j >= 0 (CappedInstance.alpha).  For
+                 fixed y each x_ij in [0, y_i] then costs at least
+                 y_i min(0, d_ij - alpha_j), so with
+                 rho_i = f_i + sum_j min(0, d_ij - alpha_j) a node whose
+                 sites < depth are fixed to v_i is bounded below by
+                 L = sum_j r_j alpha_j + sum_{i<depth} v_i rho_i
+                     + sum_{i>=depth} min(0, cap_i rho_i),
+                 the last sum a suffix array built once per call and
+                 the rest carried down the walk, so the test is O(1).
+                 L is valid for every alpha >= 0.  With the coverage
+                 duals of a certified LP, dual feasibility gives
+                 rho_i >= 0 up to rounding, so L at the root is about
+                 sum_j r_j alpha_j, the LP value when the LP is this
+                 instance's.
+                 alpha = None means alpha = 0: then rho = f, L is the
+                 opening cost of the decided sites in the same float
+                 operations as step 3, and a node it prunes step 3
+                 would prune too, so callers without duals get the
+                 same counters.  L is not summed in the leaf arithmetic,
+                 so it prunes only when it exceeds the incumbent cost
+                 by LAGRANGIAN_MARGIN relative: every leaf below then
+                 costs more than the incumbent, is never accepted, and
+                 the sequence of incumbents, hence the plan returned,
+                 is the one without this step; the nodes visited are a
+                 subset.
+              3. Opening cost of the decided sites plus the optimal
+                 connection cost when every undecided site is opened to
+                 its cap; capacities only shrink deeper in the tree, so
+                 the bound is valid.  Costs accumulate in the same order
+                 as at the leaves, so in floats a bound can exceed a leaf
+                 below it only by rounding at a near-tie of distances.
+                 It walks one row per client with demand, built once per
+                 call: r_j and its (site, distance) pairs in scan order
+                 as python ints and floats, so no node indexes a numpy
+                 array.
               The search starts from the greedy plan (computed only
               after the space and cap checks pass): its value in the
               leaf arithmetic, opening costs summed in site order plus
-              the bound at capvec = y, is the first incumbent cost, with
-              no incumbent vector.  Pruning is strictly greater-than and
-              a leaf is accepted when it is strictly cheaper or when
-              none has been accepted yet.  The first minimum leaf in
-              depth-first order is never pruned (neither its ancestors'
-              bounds nor the minimum exceed the incumbent cost) and is
-              always accepted (no earlier leaf ties it), so the plan
-              returned has the lexicographically smallest y, as with no
-              incumbent.  Should such rounding prune every leaf that
-              matches the greedy value, the greedy plan is returned.
+              the step-3 cost at capvec = y, is the first incumbent
+              cost, with no incumbent vector.  Pruning is strictly
+              greater-than and a leaf is accepted when it is strictly
+              cheaper or when none has been accepted yet.  The first
+              minimum leaf in depth-first order is never pruned
+              (neither its ancestors' bounds nor the minimum exceed the
+              incumbent cost) and is always accepted (no earlier leaf
+              ties it), so the plan returned has the lexicographically
+              smallest y, as with no incumbent.  Should such rounding
+              prune every leaf that matches the greedy value, the
+              greedy plan is returned.
 
 solve_greedy  Ratio greedy.  Each round either opens one more facility
               at some site together with a best prefix of undersupplied
@@ -50,8 +83,8 @@ solve_greedy  Ratio greedy.  Each round either opens one more facility
               improve on the tentative routing.
 
 Both solvers count their work in IntegralSolution.counters: solve_exact
-the nodes visited ("nodes"), those cut by the incumbent ("pruned_bound")
-and those whose subtree cannot cover every client ("pruned_infeasible");
+the nodes visited ("nodes"), those cut by step 2 or 3 ("pruned_bound")
+and those cut by step 1 ("pruned_infeasible");
 solve_greedy its rounds, one move each ("rounds").
 
 The exact search is budgeted: it refuses instances whose opening-vector
@@ -74,6 +107,8 @@ from .instance import Instance, scan_fill, scan_order
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
+# relative margin by which the Lagrangian bound must exceed the incumbent to prune
+LAGRANGIAN_MARGIN = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -90,6 +125,7 @@ class CappedInstance:
 
     base: Instance
     caps: np.ndarray  # (n,) int
+    alpha: np.ndarray | None = None  # (m,) coverage multipliers for solve_exact's bound
 
     def __post_init__(self):
         caps = np.asarray(self.caps, dtype=np.int64)
@@ -97,6 +133,12 @@ class CappedInstance:
             raise ValueError("caps must be a nonnegative integer vector of length n")
         caps.setflags(write=False)
         object.__setattr__(self, "caps", caps)
+        if self.alpha is not None:
+            alpha = np.array(self.alpha, dtype=np.float64)
+            if alpha.shape != (self.base.m,) or not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
+                raise ValueError("alpha must be a finite nonnegative vector of length m")
+            alpha.setflags(write=False)
+            object.__setattr__(self, "alpha", alpha)
 
     @cached_property
     def scan_order(self) -> np.ndarray:
@@ -104,9 +146,9 @@ class CappedInstance:
         return scan_order(self.base)
 
 
-def to_capped(inst: Instance, copies: np.ndarray) -> CappedInstance:
-    """The split instance with `copies` copies per site, in capped form."""
-    return CappedInstance(base=inst, caps=copies)
+def to_capped(inst: Instance, copies: np.ndarray, alpha: np.ndarray | None = None) -> CappedInstance:
+    """The split instance with `copies` copies per site, in capped form, with optional multipliers."""
+    return CappedInstance(base=inst, caps=copies, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -189,8 +231,19 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     ]
     f = [float(v) for v in inst.site_costs]
     caps_list = [int(c) for c in caps]
+    need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
+    # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites >= k add
+    if ci.alpha is None:
+        rho, lag_root = f, 0.0
+    else:
+        rho = (inst.site_costs + np.minimum(inst.dist - ci.alpha, 0.0).sum(axis=1)).tolist()
+        lag_root = float(inst.demands @ ci.alpha)
+    suffix = [0.0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] + min(0.0, caps_list[i] * rho[i])
 
-    def relaxed_connection_cost(capvec: list[int]) -> float | None:
+    def relaxed_connection_cost(capvec: list[int]) -> float:
+        """Connection cost with capvec facilities open; capvec must cover every demand."""
         total = 0.0
         for rem, row in rows:
             for i, d in row:
@@ -201,8 +254,6 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
                     total += take * d
                     if rem == 0:
                         break
-            if rem > 0:
-                return None
         return total
 
     # the greedy plan's value in the leaf arithmetic of the walk below
@@ -211,37 +262,42 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     for fi, v in zip(f, incumbent):
         best_cost = best_cost + fi * v
     best_cost = best_cost + relaxed_connection_cost(incumbent)
+    cutoff = best_cost + LAGRANGIAN_MARGIN * (1.0 + abs(best_cost))
     best_y: list[int] | None = None
     nodes = pruned_bound = pruned_infeasible = 0
     capvec = caps_list.copy()
     y = [0] * n
 
-    def walk(depth: int, opening_cost: float):
-        nonlocal best_cost, best_y, nodes, pruned_bound, pruned_infeasible
+    def walk(depth: int, opening_cost: float, lag: float, room: int):
+        nonlocal best_cost, cutoff, best_y, nodes, pruned_bound, pruned_infeasible
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
-        conn = relaxed_connection_cost(capvec)
-        if conn is None:
+        if room < need:
             pruned_infeasible += 1
             return  # even fully open this subtree cannot cover everyone
-        bound = opening_cost + conn
+        if lag + suffix[depth] > cutoff:
+            pruned_bound += 1
+            return
+        bound = opening_cost + relaxed_connection_cost(capvec)
         if bound > best_cost:
             pruned_bound += 1
             return
         if depth == n:
             if bound < best_cost or best_y is None:
                 best_cost = bound
+                cutoff = best_cost + LAGRANGIAN_MARGIN * (1.0 + abs(best_cost))
                 best_y = y.copy()
             return
-        for v in range(caps_list[depth] + 1):
+        cap = caps_list[depth]
+        for v in range(cap + 1):
             y[depth] = v
             capvec[depth] = v
-            walk(depth + 1, opening_cost + f[depth] * v)
+            walk(depth + 1, opening_cost + f[depth] * v, lag + rho[depth] * v, room - cap + v)
         y[depth] = 0
-        capvec[depth] = caps_list[depth]
+        capvec[depth] = cap
 
-    walk(0, 0.0)
+    walk(0, 0.0, lag_root, sum(caps_list))
     if best_y is None:  # float rounding pruned every leaf that ties the greedy value
         best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)

@@ -24,10 +24,21 @@ from files.  Every LP (the relaxation, and the residual LP behind
 rho_sub) is built over the pairs lp_core.candidate_pairs keeps, which
 drops the pairs no LP optimum can use; its value is certified with
 check_duality on the full instance, and a failed certificate raises
-RuntimeError.  Reports carry the LP lower bound, per-stage costs, the
-subroutine ratio, the proven chain bound with its slack, wall times, and
-LP and solver counters, and serialize to JSON with exactly those field
-names.
+RuntimeError.
+
+Every exact search gets the certified coverage duals alpha of the main
+LP relaxation (CappedInstance.alpha), which its Lagrangian bound prunes
+with: solve_oracle's search over the whole instance, and in solve_reduce
+and solve_large the residual's search, which runs before the residual
+LP is solved (the greedy subroutine ignores alpha).  Dual feasibility
+does not involve the demands, so the main LP's duals stay feasible for
+the residual's LP, where clients with rbar_j = 0 add nothing to the
+bound.  Any alpha >= 0 gives a valid bound, so the plans are those of
+the dual-free search.
+
+Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
+the proven chain bound with its slack, wall times, and LP and solver
+counters, and serialize to JSON with exactly those field names.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from .decompose import Decomposition, decompose_large, decompose_reduce, residua
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact, to_capped
 from .instance import Instance, ParseError, _ints, _take, _tokens, format_records
 from .lp_core import (
+    DualSolution,
     FractionalSolution,
     build_lp,
     candidate_pairs,
@@ -216,8 +228,8 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 
 
-def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, dict[str, float]]:
-    """LP optimum of inst whose dual certificate passed; raises RuntimeError if not.
+def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, DualSolution, dict[str, float]]:
+    """LP optimum of inst and the dual whose certificate passed; raises RuntimeError if not.
 
     The LP is built over candidate_pairs(inst) only; the certificate is
     checked on the full instance, so the value is a certified bound for
@@ -229,7 +241,7 @@ def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, dict[s
     if not cert.ok:
         raise RuntimeError(f"{what} failed its duality check: " + "; ".join(cert.messages))
     counters["duality_gap"] = abs(cert.gap)
-    return primal, counters
+    return primal, dual, counters
 
 
 def _live_clients(inst: Instance) -> Instance:
@@ -243,7 +255,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     counters: dict[str, dict[str, float]] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, counters["lp"] = _certified_lp(inst, "LP relaxation")
+    frac, dual, counters["lp"] = _certified_lp(inst, "LP relaxation")
     wall["lp"] = time.perf_counter() - t
     lp_star = frac.objective
 
@@ -268,10 +280,10 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         res = residual_instance(dec, inst)
         # the subroutine runs first, so a refusal (BudgetExceededError) wastes no residual LP
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, split_counts(dec)))
+        s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
-        res_lp, counters["residual_lp"] = _certified_lp(_live_clients(res), "residual LP")
+        res_lp, _, counters["residual_lp"] = _certified_lp(_live_clients(res), "residual LP")
         lp2 = res_lp.objective
         wall["residual_lp"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
@@ -304,12 +316,12 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, lp_counters = _certified_lp(inst, "LP relaxation")
+    frac, dual, lp_counters = _certified_lp(inst, "LP relaxation")
     lp_star = frac.objective
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    sol = solve_exact(to_capped(inst, caps))
+    sol = solve_exact(to_capped(inst, caps, dual.alpha))
     wall["oracle"] = time.perf_counter() - t
     counters = {"lp": lp_counters, "oracle": dict(sol.counters)}  # read before _verified rebuilds sol
     return _report(

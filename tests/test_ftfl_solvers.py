@@ -26,6 +26,7 @@ from ftfp.ftfl_solvers import (
     to_capped,
 )
 from ftfp.instance import GenParams, Instance, generate
+from ftfp.lp_core import build_lp, candidate_pairs, check_duality, solve_lp
 
 
 def caps_for(inst: Instance, k: int | None = None) -> np.ndarray:
@@ -145,6 +146,23 @@ def test_exact_infeasible_caps(instance_a):
         solve_exact(to_capped(instance_a, np.array([1, 0])))
 
 
+@pytest.mark.parametrize(
+    "alpha", [np.zeros(2), np.zeros((1, 1)), np.array([-0.5]), np.array([np.nan]), np.array([np.inf])],
+    ids=["length", "matrix", "negative", "nan", "inf"],
+)
+def test_capped_instance_rejects_bad_alpha(instance_a, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        to_capped(instance_a, caps_for(instance_a), alpha)
+
+
+def test_capped_instance_keeps_a_read_only_copy_of_alpha(instance_a):
+    alpha = np.array([1.5])
+    ci = to_capped(instance_a, caps_for(instance_a), alpha)
+    assert ci.alpha.dtype == np.float64 and not ci.alpha.flags.writeable
+    assert alpha.flags.writeable  # the caller's array is left alone
+    assert to_capped(instance_a, caps_for(instance_a)).alpha is None
+
+
 # ---------------------------------------------------------------------------
 # the exact contract: the lexicographically smallest optimum, whatever the incumbent
 
@@ -193,6 +211,27 @@ def test_exact_returns_lexicographically_smallest_optimum(family, seed):
     assert c["pruned_bound"] + c["pruned_infeasible"] <= c["nodes"]
 
 
+@pytest.mark.parametrize("scale", ["zero", "uniform", "huge"])
+@pytest.mark.parametrize("family", ["zero", "grid", "colocated"])
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_answer_does_not_depend_on_the_multipliers(family, seed, scale):
+    # the Lagrangian bound holds for every alpha >= 0, so no choice may move the answer
+    ci = grid_instance(np.random.default_rng(14000 + seed), family)
+    inst = ci.base
+    top = max(1.0, float(inst.dist.max()))
+    alpha = {
+        "zero": np.zeros(inst.m),
+        "uniform": np.random.default_rng(15000 + seed).uniform(0.0, 2.0 * top, inst.m),
+        "huge": np.full(inst.m, 1e3 * top),
+    }[scale]
+    sol = solve_exact(to_capped(inst, ci.caps, alpha))
+    want_cost, want_y = enumerate_optimum(ci)
+    assert sol.cost == want_cost
+    assert np.array_equal(sol.y, want_y)
+    if scale == "zero":  # zero multipliers are the dual-free search, counters included
+        assert sol.counters == solve_exact(ci).counters
+
+
 def test_exact_refuses_before_the_greedy_incumbent(monkeypatch, instance_a):
     # a refused call must cost no more than the checks: greedy runs only after them
     def no_greedy(ci):
@@ -208,14 +247,38 @@ def test_exact_refuses_before_the_greedy_incumbent(monkeypatch, instance_a):
 
 # y_digest of solve_exact over the first 48 instances of the benchmark's
 # oracle-6x12 pool (seeds 7-54, caps at the largest demand), recorded before
-# the search had its bound rows and greedy incumbent.
+# the search had its bound rows, greedy incumbent and Lagrangian bound.
 ORACLE_POOL_Y_DIGEST = "bf455e04c4fb34e5791019578f5469bc1daeb0fa640f55a95ce72c56b61b8847"
 
 
-def test_exact_plans_are_pinned_on_the_oracle_pool():
-    pool = (generate(GenParams(6, 12, 1, 4, seed)) for seed in range(7, 55))
-    plans = (solve_exact(to_capped(inst, caps_for(inst))) for inst in pool)
-    assert y_digest(plans) == ORACLE_POOL_Y_DIGEST
+@pytest.fixture(scope="module")
+def oracle_pool_plans():
+    """(dual-free, certified-dual) solve_exact plans on the first 48 oracle-6x12 instances."""
+    plans = []
+    for seed in range(7, 55):
+        inst = generate(GenParams(6, 12, 1, 4, seed))
+        primal, dual = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)))
+        assert check_duality(primal, dual, inst).ok
+        free = solve_exact(to_capped(inst, caps_for(inst)))
+        plans.append((free, solve_exact(to_capped(inst, caps_for(inst), dual.alpha))))
+    return plans
+
+
+def test_exact_plans_are_pinned_on_the_oracle_pool(oracle_pool_plans):
+    assert y_digest(free for free, _ in oracle_pool_plans) == ORACLE_POOL_Y_DIGEST
+
+
+def test_certified_duals_keep_the_oracle_pool_plans(oracle_pool_plans):
+    assert y_digest(dual for _, dual in oracle_pool_plans) == ORACLE_POOL_Y_DIGEST
+    for free, dual in oracle_pool_plans:
+        assert np.array_equal(dual.x, free.x) and dual.cost == free.cost
+
+
+def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
+    # a pruned subtree holds no leaf the incumbent would accept, so the search
+    # with duals visits a subset of the dual-free search's nodes
+    for free, dual in oracle_pool_plans:
+        assert dual.counters["nodes"] <= free.counters["nodes"]
 
 
 # ---------------------------------------------------------------------------

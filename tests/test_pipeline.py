@@ -22,12 +22,13 @@ from ftfp.ftfl_solvers import (
     subroutine,
     to_capped,
 )
-from ftfp.instance import Instance, ParseError
+from ftfp.instance import GenParams, Instance, ParseError, generate
 from ftfp.lp_core import (
     DualityReport,
     FractionalSolution,
     build_lp,
     candidate_pairs,
+    check_duality,
     solve_lp,
     trim_to_demand,
 )
@@ -323,12 +324,21 @@ def test_report_counters_certify_every_lp(instance_a):
     assert set(oracle.counters) == {"lp", "oracle"}
 
 
+def certified_alpha(inst: Instance) -> np.ndarray:
+    """The main LP's coverage duals, certified as the pipeline certifies them."""
+    primal, dual = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)))
+    assert check_duality(primal, dual, inst).ok
+    return dual.alpha
+
+
 def test_report_counters_carry_the_solver_counters():
     inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
+    alpha = certified_alpha(inst)
     with solve_trace() as trace:
         _, rep = solve_reduce(inst, subroutine("exact"))
     res = residual_instance(trace.decomposition, inst)
-    search = solve_exact(to_capped(res, split_counts(trace.decomposition)))
+    # the residual search gets the main LP's duals: they stay dual-feasible for any demands
+    search = solve_exact(to_capped(res, split_counts(trace.decomposition), alpha))
     assert rep.counters["subroutine"] == search.counters
     assert set(search.counters) == {"nodes", "pruned_bound", "pruned_infeasible"}
     assert search.counters["nodes"] >= 1
@@ -337,9 +347,21 @@ def test_report_counters_carry_the_solver_counters():
     assert rep.counters["subroutine"]["rounds"] >= 1
     _, rep = solve_oracle(inst)
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps)).counters
+    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps, alpha)).counters
     # the counters are plain ints, so the report round-trips through JSON
     assert parse_report(report_to_json(rep)).counters == rep.counters
+
+
+# Total counters["nodes"] of solve_oracle over the first 48 instances of the
+# benchmark's oracle-6x12 pool (seeds 7-54), recorded when the exact search
+# gained its Lagrangian bound from the certified LP duals (146005 without it).
+# A change that weakens the bound, or stops handing the duals over, raises it.
+ORACLE_POOL_NODES = 51023
+
+
+def test_oracle_node_total_is_pinned():
+    pool = (generate(GenParams(6, 12, 1, 4, seed)) for seed in range(7, 55))
+    assert sum(solve_oracle(inst)[1].counters["oracle"]["nodes"] for inst in pool) == ORACLE_POOL_NODES
 
 
 @pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])
