@@ -26,9 +26,9 @@ import numpy as np
 # decompose_reduce and trim_to_demand are no longer called here, but they stay
 # bound: benchmark/spans.py times the layers by swapping these module names.
 from .decompose import decompose_reduce  # noqa: F401
-from .ftfl_solvers import BudgetExceededError, IntegralSolution, solution_cost, subroutine
+from .ftfl_solvers import BudgetExceededError, IntegralSolution, subroutine
 from .instance import GenParams, Instance, ParseError, format_records, generate, parse_instance
-from .instance import serialize_instance, validate
+from .instance import serialize_instance, solution_cost, validate
 from .lp_core import build_lp, check_duality, solve_lp, trim_to_demand  # noqa: F401
 from .pipeline import (
     SolveReport,
@@ -70,17 +70,21 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def cmd_gen(args) -> int:
-    params = GenParams(
+def _gen_params(args, seed: int) -> GenParams:
+    """The generator knobs gen and bench share (see add_gen_knobs), with the given seed."""
+    return GenParams(
         sites=args.sites,
         clients=args.clients,
         demand_min=args.demand_min,
         demand_max=args.demand_max,
-        seed=args.seed,
+        seed=seed,
         cost_min=args.cost_min,
         cost_max=args.cost_max,
     )
-    inst = generate(params)
+
+
+def cmd_gen(args) -> int:
+    inst = generate(_gen_params(args, args.seed))
     Path(args.out).write_text(serialize_instance(inst))
     print(
         f"wrote {args.out} n={inst.n} m={inst.m} "
@@ -160,15 +164,7 @@ def cmd_bench(args) -> int:
     rows: list[dict] = []
     for t in range(args.trials):
         seed = args.seed + t
-        inst = generate(GenParams(
-            sites=args.sites,
-            clients=args.clients,
-            demand_min=args.demand_min,
-            demand_max=args.demand_max,
-            seed=seed,
-            cost_min=args.cost_min,
-            cost_max=args.cost_max,
-        ))
+        inst = generate(_gen_params(args, seed))
         _, report = _solve(inst, args.algo, args.ftfl)
         rows.append({
             "seed": seed,

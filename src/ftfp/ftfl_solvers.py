@@ -103,7 +103,7 @@ from typing import Callable
 
 import numpy as np
 
-from .instance import Instance, scan_fill, scan_order
+from .instance import Instance, scan_fill, scan_order, solution_cost
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -163,10 +163,6 @@ class IntegralSolution:
     x: np.ndarray
     cost: float
     counters: dict[str, int] = field(default_factory=dict)
-
-
-def solution_cost(inst: Instance, y: np.ndarray, x: np.ndarray) -> float:
-    return float(inst.site_costs @ y + (inst.dist * x).sum())
 
 
 def node_budget() -> int:

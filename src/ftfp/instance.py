@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -93,25 +94,34 @@ class Instance:
 def scan_order(inst: Instance) -> np.ndarray:
     """(n, m) site indices; column j lists the sites by ascending d_ij, lowest index on ties.
 
-    Every per-client fill (scan_fill, keep_cheapest, the exact solver's
+    Every per-client fill (scan_fill, and through it the LP's connections,
+    the integral assignments and both surplus trims; the exact solver's
     bound) takes the sites in this order.
     """
     return np.argsort(inst.dist, axis=0, kind="stable")
 
 
 def scan_fill(offer: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
-    """(n, m) fill x_ij = max(0, min(offer_ij, r_j - what the sites before i in order offer j)).
+    """(n, m) fill x_ij = min(offer_ij, max(0, r_j - what the sites before i in order offer j)).
 
     With order = scan_order(inst) it is client j's cheapest way to take r_j
     units from offer_ij per site: a plan that skips a nearer unit can move
     one unit onto it at no loss.  x has offer's dtype, float or integer.
+    A nonnegative column that offers at most r_j in all comes back as it
+    is (for floats, up to the rounding of the running sum), and so does a
+    negative offer, which a verifier then still sees.
     """
     ordered = np.take_along_axis(offer, order, axis=0)
     before = np.zeros_like(ordered)  # what the sites earlier in scan order offer
     np.cumsum(ordered[:-1], axis=0, out=before[1:])
     x = np.zeros_like(ordered)
-    np.put_along_axis(x, order, np.clip(np.minimum(ordered, inst.demands - before), 0, None), axis=0)
+    np.put_along_axis(x, order, np.minimum(ordered, np.maximum(inst.demands - before, 0)), axis=0)
     return x
+
+
+def solution_cost(inst: Instance, y: np.ndarray, x: np.ndarray) -> float:
+    """f.y + sum_ij d_ij x_ij, the cost of openings y and connections x, integral or fractional."""
+    return float(inst.site_costs @ y + (inst.dist * x).sum())
 
 
 @dataclass(frozen=True)
@@ -178,14 +188,20 @@ def _ints(ln: int, toks, what: str) -> list[int]:
     return out
 
 
-def parse_instance(text: str, name: str = "") -> Instance:
-    """Parse the `ftfp 1` text format; raises ParseError naming the bad line."""
+def read_records(text: str, magic: str, kind: str, body: Callable[..., tuple]) -> tuple:
+    """Read the layout format_records writes; raises ParseError naming the bad line.
+
+    Checks the `magic 1` header and the `n m` line, then returns
+    body(row, n, m), where row(what, count, item, dtype) reads the next
+    line as count values of dtype int or float, each >= 0 (floats finite).
+    A line left over after body is an error.
+    """
     rows = _tokens(text)
     ln, toks = _take(rows, "header", 2)
-    if toks[0] != "ftfp":
-        raise ParseError(f"line {ln}: not an ftfp instance (header {' '.join(toks)!r})")
+    if toks[0] != magic:
+        raise ParseError(f"line {ln}: not an ftfp {kind} (header {' '.join(toks)!r})")
     if toks[1] != "1":
-        raise ParseError(f"line {ln}: unsupported ftfp version {toks[1]!r}")
+        raise ParseError(f"line {ln}: unsupported {magic} version {toks[1]!r}")
     ln, toks = _take(rows, "size line", 2)
     try:
         n, m = int(toks[0]), int(toks[1])
@@ -193,18 +209,27 @@ def parse_instance(text: str, name: str = "") -> Instance:
         raise ParseError(f"line {ln}: sizes must be integers") from None
     if n < 1 or m < 1:
         raise ParseError(f"line {ln}: need n >= 1 and m >= 1, got {n} {m}")
-    ln, toks = _take(rows, "site costs", n)
-    f = _reals(ln, toks, "site cost")
-    ln, toks = _take(rows, "demands", m)
-    r = _ints(ln, toks, "demand")
-    d = np.empty((n, m))
-    for i in range(n):
-        ln, toks = _take(rows, f"distance row {i + 1}", m)
-        d[i] = _reals(ln, toks, "distance")
+
+    def row(what: str, count: int, item: str, dtype: type) -> list:
+        return (_ints if dtype is int else _reals)(*_take(rows, what, count), item)
+
+    out = body(row, n, m)
     extra = next(rows, None)
     if extra is not None:
         raise ParseError(f"line {extra[0]}: unexpected trailing tokens")
-    return Instance(np.array(f), np.array(r, dtype=np.int64), d, name=name)
+    return out
+
+
+def parse_instance(text: str, name: str = "") -> Instance:
+    """Parse the `ftfp 1` text format; raises ParseError naming the bad line."""
+
+    def body(row, n: int, m: int):
+        f = row("site costs", n, "site cost", float)
+        r = row("demands", m, "demand", int)
+        return f, r, [row(f"distance row {i + 1}", m, "distance", float) for i in range(n)]
+
+    f, r, d = read_records(text, "ftfp", "instance", body)
+    return Instance(np.array(f), np.array(r, dtype=np.int64), np.array(d), name=name)
 
 
 def format_records(header: str, n: int, m: int, rows: list[np.ndarray]) -> str:

@@ -94,7 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, scan_fill, scan_order
+from .instance import Instance, scan_fill, scan_order, solution_cost
 
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
@@ -343,7 +343,7 @@ def check_duality(
     family("site_budget", inst.site_costs + gamma - dual.beta.sum(axis=1), "sum_j beta_ij - gamma_i <= f_i")
     family("edge", (inst.dist - dual.alpha[None, :] + dual.beta).ravel(), "alpha_j - beta_ij <= d_ij")
 
-    primal_cost = float(inst.site_costs @ primal.y + (inst.dist * primal.x).sum())
+    primal_cost = solution_cost(inst, primal.y, primal.x)
     dual_value = float(inst.demands @ dual.alpha)
     if caps is not None:
         dual_value -= float(np.asarray(caps, float) @ gamma)
@@ -363,40 +363,20 @@ def check_duality(
     return DualityReport(ok=ok, gap=gap, worst_slack=worst, messages=messages)
 
 
-def keep_cheapest(x: np.ndarray, inst: Instance) -> np.ndarray:
-    """Cut every over-covered column of x, in place, down to its demand r_j.
-
-    A column j whose sum exceeds r_j is rebuilt by keeping connections
-    cheapest-first (lowest site index on equal distances) up to r_j,
-    which removes exactly the most expensive surplus.  Works on float and
-    integer x alike; returns each column's sum before the cut.
-    """
-    have = np.empty(inst.m, dtype=x.dtype)
-    order = scan_order(inst)
-    for j in range(inst.m):
-        have[j] = x[:, j].sum()
-        if have[j] <= inst.demands[j]:
-            continue
-        remaining = x.dtype.type(inst.demands[j])
-        for i in order[:, j]:
-            take = min(x[i, j], remaining)
-            x[i, j] = take
-            remaining -= take
-    return have
-
-
 def trim_to_demand(sol: FractionalSolution, inst: Instance) -> FractionalSolution:
-    """Shrink coverage surplus so every client meets its demand with equality.
+    """Cut every over-covered client of sol.x back to its demand, dearest connections first.
 
-    Degenerate LP vertices can over-cover a client (strict inequality in
-    the coverage row at zero marginal cost).  keep_cheapest removes the
-    most expensive surplus; y is untouched, so linking still holds.
+    solve_lp's x already meets each demand with equality (it is a scan
+    fill), so this guards an x supplied by the caller: it is refilled
+    from itself in scan order (scan_fill), which keeps the cheapest r_j
+    units of each column; y is untouched, so linking still holds.
+    Raises ValueError when a client is undercovered.
     """
-    x = np.array(sol.x, dtype=float)
-    have = keep_cheapest(x, inst)
+    x = np.asarray(sol.x, dtype=float)
+    have = x.sum(axis=0)
     short = np.nonzero(have < inst.demands - FEAS_TOL)[0]
     if short.size:
         j = int(short[0])
         raise ValueError(f"client {j} is undercovered: {float(have[j])} < {float(inst.demands[j])}")
-    objective = float(inst.site_costs @ sol.y + (inst.dist * x).sum())
-    return FractionalSolution(x=x, y=np.array(sol.y, dtype=float), objective=objective)
+    x = scan_fill(x, inst, scan_order(inst))
+    return FractionalSolution(x=x, y=np.array(sol.y, dtype=float), objective=solution_cost(inst, sol.y, x))

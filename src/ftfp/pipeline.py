@@ -53,15 +53,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
-from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solution_cost, solve_exact, to_capped
-from .instance import Instance, ParseError, _ints, _take, _tokens, format_records
+from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
+from .instance import Instance, format_records, read_records, scan_fill, scan_order, solution_cost
 from .lp_core import (
     DualSolution,
     FractionalSolution,
     build_lp,
     candidate_pairs,
     check_duality,
-    keep_cheapest,
     solve_lp,
     trim_to_demand,
 )
@@ -142,10 +141,13 @@ def combine(s1: IntegralSolution, s2: IntegralSolution) -> IntegralSolution:
 
 
 def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
-    """Drop the most expensive surplus connections until coverage is exact (see keep_cheapest)."""
-    x = np.array(sol.x)
-    if not np.any(keep_cheapest(x, inst) > inst.demands):
+    """Cut every over-covered client back to its demand, dearest connections first (scan_fill).
+
+    A plan with no over-covered client is returned as the same object.
+    """
+    if not np.any(sol.x.sum(axis=0) > inst.demands):
         return sol
+    x = scan_fill(sol.x, inst, scan_order(inst))
     return IntegralSolution(y=sol.y, x=x, cost=solution_cost(inst, sol.y, x))
 
 
@@ -337,26 +339,10 @@ def serialize_solution(sol: IntegralSolution) -> str:
 
 def parse_solution(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a `ftfp-sol 1` file back as (y, x); cost is not stored on disk."""
-    rows = _tokens(text)
-    ln, toks = _take(rows, "header", 2)
-    if toks[0] != "ftfp-sol":
-        raise ParseError(f"line {ln}: not an ftfp solution (header {' '.join(toks)!r})")
-    if toks[1] != "1":
-        raise ParseError(f"line {ln}: unsupported ftfp-sol version {toks[1]!r}")
-    ln, toks = _take(rows, "size line", 2)
-    try:
-        n, m = int(toks[0]), int(toks[1])
-    except ValueError:
-        raise ParseError(f"line {ln}: sizes must be integers") from None
-    if n < 1 or m < 1:
-        raise ParseError(f"line {ln}: need n >= 1 and m >= 1, got {n} {m}")
-    ln, toks = _take(rows, "openings", n)
-    y = _ints(ln, toks, "opening count")
-    x = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        ln, toks = _take(rows, f"connection row {i + 1}", m)
-        x[i] = _ints(ln, toks, "connection count")
-    extra = next(rows, None)
-    if extra is not None:
-        raise ParseError(f"line {extra[0]}: unexpected trailing tokens")
-    return np.array(y, dtype=np.int64), x
+
+    def body(row, n: int, m: int):
+        y = row("openings", n, "opening count", int)
+        return y, [row(f"connection row {i + 1}", m, "connection count", int) for i in range(n)]
+
+    y, x = read_records(text, "ftfp-sol", "solution", body)
+    return np.array(y, dtype=np.int64), np.array(x, dtype=np.int64)

@@ -77,6 +77,26 @@ def cheapest_fill_cost(ci: CappedInstance, y: np.ndarray) -> float | None:
     return total
 
 
+def keep_cheapest(x: np.ndarray, inst: Instance) -> np.ndarray:
+    """x with every over-covered column cut to its demand r_j, cheapest connections kept.
+
+    A column j whose sum exceeds r_j is rebuilt by keeping connections in
+    ascending d_ij (lowest site index on ties) up to r_j; other columns
+    stay as they are.  Works on float and integer x alike.  Plain loops on
+    purpose; the package's trims refill the columns with a cumulative sum.
+    """
+    x = np.array(x)
+    for j in range(inst.m):
+        if x[:, j].sum() <= inst.demands[j]:
+            continue
+        remaining = x.dtype.type(inst.demands[j])
+        for i in sorted(range(inst.n), key=lambda i: (inst.dist[i, j], i)):
+            take = min(x[i, j], remaining)
+            x[i, j] = take
+            remaining -= take
+    return x
+
+
 def enumerate_optimum(ci: CappedInstance) -> tuple[float, np.ndarray]:
     """Exhaustive optimum over all opening vectors 0 <= y_i <= cap_i.
 

@@ -485,6 +485,14 @@ def test_trim_reaches_exact_coverage(seed):
     assert again.x.tobytes() == trimmed.x.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(7, 71))
+def test_trim_leaves_the_lp_fill_bitwise_unchanged(seed):
+    # solve_lp's x is already a scan fill meeting each demand, so refilling it changes no bit
+    inst = random_instance(seed, sites=15, clients=20, demand_min=1, demand_max=5)
+    primal, _ = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)))
+    assert trim_to_demand(primal, inst).x.tobytes() == primal.x.tobytes()
+
+
 def test_trim_drops_expensive_surplus(instance_a):
     from ftfp.lp_core import FractionalSolution
 

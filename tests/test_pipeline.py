@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_shape, uniform_demand
-from oracles import lp_oracle
+from oracles import keep_cheapest, lp_oracle
 
 from ftfp import pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
@@ -426,6 +426,37 @@ def test_both_trims_keep_the_lowest_site_index_on_equal_distances():
     assert frac.x.dtype == np.float64 and np.array_equal(frac.x, want)
     assert plan.x.dtype == np.int64 and np.array_equal(plan.x, want)
     assert plan.cost == solution_cost(inst, plan.y, plan.x)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_both_trims_equal_the_loop_reference(seed):
+    # distances on a 0.5 grid (ties), demands down to zero, every column covers its demand
+    rng = np.random.default_rng(15000 + seed)
+    n, m = random_shape(rng, 1, 6)
+    dist = rng.integers(0, 4, (n, m)) / 2
+    x = rng.integers(0, 4, (n, m))
+    inst = Instance(rng.random(n), rng.integers(0, x.sum(axis=0) + 1), dist)
+    plan = trim_surplus(IntegralSolution(y=x.max(axis=1), x=x, cost=0.0), inst)
+    assert plan.x.dtype == np.int64 and np.array_equal(plan.x, keep_cheapest(x, inst))
+
+    xf = np.where(rng.random((n, m)) < 0.3, 0.0, 3 * rng.random((n, m)))
+    inst = Instance(rng.random(n), rng.integers(0, np.floor(xf.sum(axis=0)) + 1), dist)
+    y = xf.max(axis=1)
+    frac = trim_to_demand(FractionalSolution(x=xf, y=y, objective=0.0), inst)
+    want = keep_cheapest(xf, inst)
+    assert np.allclose(frac.x, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(frac.y, y)
+    assert abs(frac.objective - solution_cost(inst, y, want)) <= 1e-12 * (1.0 + frac.objective)
+
+
+def test_trims_keep_a_negative_connection_for_the_verifier():
+    # client 0 (r = 1) is over-covered through a negative entry; clipping it to 0 would hide it
+    inst = Instance(np.ones(3), np.array([1]), np.array([[1.0], [2.0], [3.0]]))
+    x = np.array([[2], [-1], [1]])
+    plan = trim_surplus(IntegralSolution(y=np.array([2, 1, 1]), x=x, cost=0.0), inst)
+    assert verify_solution(inst, plan) == ["x[1,0] = -1 violates x_ij >= 0"]
+    frac = trim_to_demand(FractionalSolution(x=x.astype(float), y=np.array([2.0, 1, 1]), objective=0.0), inst)
+    assert frac.x[1, 0] == -1.0
 
 
 def test_verify_solution_flags_each_axis(instance_a):
