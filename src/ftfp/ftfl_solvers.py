@@ -264,7 +264,9 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     capvec = caps_list.copy()
     y = [0] * n
 
-    def walk(depth: int, opening_cost: float, lag: float, room: int):
+    def walk(depth: int, opening_cost: float, lag: float, room: int, conn: float | None):
+        """Visit the node with sites < depth fixed; conn is relaxed_connection_cost(capvec)
+        when the parent already has it (the last child keeps the parent's capvec), else None."""
         nonlocal best_cost, cutoff, best_y, nodes, pruned_bound, pruned_infeasible
         nodes += 1
         if nodes > budget:
@@ -275,7 +277,9 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         if lag + suffix[depth] > cutoff:
             pruned_bound += 1
             return
-        bound = opening_cost + relaxed_connection_cost(capvec)
+        if conn is None:
+            conn = relaxed_connection_cost(capvec)
+        bound = opening_cost + conn
         if bound > best_cost:
             pruned_bound += 1
             return
@@ -289,11 +293,12 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         for v in range(cap + 1):
             y[depth] = v
             capvec[depth] = v
-            walk(depth + 1, opening_cost + f[depth] * v, lag + rho[depth] * v, room - cap + v)
+            walk(depth + 1, opening_cost + f[depth] * v, lag + rho[depth] * v, room - cap + v,
+                 conn if v == cap else None)
         y[depth] = 0
         capvec[depth] = cap
 
-    walk(0, 0.0, lag_root, sum(caps_list))
+    walk(0, 0.0, lag_root, sum(caps_list), None)
     if best_y is None:  # float rounding pruned every leaf that ties the greedy value
         best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)

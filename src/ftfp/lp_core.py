@@ -69,11 +69,13 @@ theta_j row bounds sum_l mu_lj by 1, and its value is the dual optimum.
 The solver is a dense full-tableau simplex.  The entering column is
 the one with the most negative reduced cost (Dantzig's rule), ties
 going to the lowest column index; the leaving row is the minimum ratio,
-ties going to the lowest basic variable index.  Reduced costs are
-recomputed in floats from the tableau before every pivot, so columns
-whose reduced costs agree in exact arithmetic can differ in the last
-bits: "lowest column index" only separates bitwise-equal reduced
-costs, and rounding decides the rest.  After _DEGENERATE_RUN
+ties going to the lowest basic variable index.  The ratio test runs
+over the pivot column as python floats, each quotient the same IEEE
+division as numpy's, so the leaving row is the same as over a numpy
+ratio vector.  Reduced costs are recomputed in floats from the tableau
+before every pivot, so columns whose reduced costs agree in exact
+arithmetic can differ in the last bits: "lowest column index" only
+separates bitwise-equal reduced costs, and rounding decides the rest.  After _DEGENERATE_RUN
 consecutive degenerate pivots (minimum ratio at most _PIVOT_EPS, so the
 objective does not move) the entering rule switches to Bland's, the
 lowest eligible column, until the next non-degenerate pivot.  Every
@@ -190,8 +192,8 @@ def build_lp(
         raise ValueError("pairs must be an (n, m) boolean mask")
     if caps is not None:
         caps = np.asarray(caps, dtype=float)
-        if caps.shape != (n,) or np.any(caps < 0):
-            raise ValueError("caps must be a nonnegative (n,) vector")
+        if caps.shape != (n,) or not np.all(np.isfinite(caps)) or np.any(caps < 0):
+            raise ValueError("caps must be a finite nonnegative (n,) vector")
     site, client = np.nonzero(pairs)  # kept pair t is the cut of (l, j) = (site[t], client[t])
     k = site.size
     r = inst.demands.astype(float)
@@ -228,32 +230,37 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     cost[:nv] = c
     counters = {"pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
     degenerate_run = 0
+    basic = basis.tolist()  # basis as python ints, for the ratio test
     for _ in range(500 + 50 * (nrows + ncols)):
         red = cost - cost[basis] @ T[:, :-1]
-        eligible = red < -_PIVOT_EPS
-        if not eligible.any():
-            break
         bland = degenerate_run >= _DEGENERATE_RUN
         if bland:
-            col = int(np.argmax(eligible))  # Bland: lowest eligible index enters
+            col = int((red < -_PIVOT_EPS).argmax())  # Bland: lowest eligible index enters
         else:
-            col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
-        pos = T[:, col] > _PIVOT_EPS
-        if not pos.any():
+            col = int(red.argmin())  # Dantzig, lowest index on ties
+        if not red[col] < -_PIVOT_EPS:
+            break  # no eligible column: optimal
+        # the least (ratio, basic index) leaves; hit collects the rows to update
+        column = T[:, col].tolist()
+        rhs = T[:, -1].tolist()
+        row, rmin, hit = -1, 0.0, []
+        for i, a in enumerate(column):
+            if a:
+                hit.append(i)
+                if a > _PIVOT_EPS:
+                    q = rhs[i] / a
+                    if row < 0 or q < rmin or (q == rmin and basic[i] < basic[row]):
+                        row, rmin = i, q
+        if row < 0:
             raise LpInfeasibleError("no feasible point (the dual is unbounded)")
-        ratios = np.full(nrows, np.inf)
-        ratios[pos] = T[pos, -1] / T[pos, col]
-        rmin = ratios.min()
-        tied = np.nonzero(ratios <= rmin)[0]
-        row = int(tied[np.argmin(basis[tied])])  # lowest basic index leaves
-        T[row] /= T[row, col]
-        hit = np.nonzero(T[:, col])[0]
-        hit = hit[hit != row]
+        T[row] /= column[row]
+        hit.remove(row)
+        hit = np.array(hit, dtype=np.intp)
         T[hit] -= T[hit, col][:, None] * T[row]
         T[:, col] = 0.0
         T[row, col] = 1.0
-        basis[row] = col
-        degenerate = bool(rmin <= _PIVOT_EPS)
+        basis[row] = basic[row] = col
+        degenerate = rmin <= _PIVOT_EPS
         degenerate_run = degenerate_run + 1 if degenerate else 0
         counters["pivots"] += 1
         counters["degenerate_pivots"] += degenerate

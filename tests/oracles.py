@@ -3,7 +3,9 @@
 Everything in this module is deliberately written with a different toolchain
 (scipy) or a different algorithmic shape (plain loops, exhaustive search,
 bipartite matching) than the code under test, so agreement between the two is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology.  The one exception is
+reference_simplex_min, the simplex as it stood before its pivot loop was
+rewritten: it pins the rewrite to the same pivots and the same bits.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
+from ftfp import lp_core
 from ftfp.ftfl_solvers import CappedInstance, IntegralSolution
 from ftfp.instance import Instance
 
@@ -210,3 +213,73 @@ def merge_solution(sol: IntegralSolution, smap: SplitMap) -> IntegralSolution:
     np.add.at(y, smap.site_of_copy, sol.y)
     np.add.at(x, smap.site_of_copy, sol.x)
     return IntegralSolution(y=y, x=x, cost=sol.cost)
+
+
+def reference_simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """lp_core._simplex_min as it stood before its pivot loop was rewritten.
+
+    The loop prices, picks and updates with whole-array numpy operations:
+    a masked argmin for Dantzig's column, a ratio vector with a tie mask
+    for the leaving row, one fancy-indexed subtraction per pivot.  The
+    package's loop must make the same choices and return the same bits;
+    _PIVOT_EPS and _DEGENERATE_RUN are read from lp_core at call time, so
+    a test that patches them patches both.
+    """
+    _PIVOT_EPS, _DEGENERATE_RUN = lp_core._PIVOT_EPS, lp_core._DEGENERATE_RUN
+    if np.any(b > 0):
+        raise ValueError("the slack basis is feasible only for b <= 0")
+    nrows, nv = A.shape
+    ncols = nv + nrows
+    # rows -A v + s = -b, s >= 0 the slacks, which start basic at s = -b >= 0
+    T = np.zeros((nrows, ncols + 1))
+    np.negative(A, out=T[:, :nv])
+    T[np.arange(nrows), nv + np.arange(nrows)] = 1.0
+    T[:, -1] = -b
+    basis = nv + np.arange(nrows)
+    cost = np.zeros(ncols)
+    cost[:nv] = c
+    counters = {"pivots": 0, "degenerate_pivots": 0, "bland_pivots": 0}
+    degenerate_run = 0
+    for _ in range(500 + 50 * (nrows + ncols)):
+        red = cost - cost[basis] @ T[:, :-1]
+        eligible = red < -_PIVOT_EPS
+        if not eligible.any():
+            break
+        bland = degenerate_run >= _DEGENERATE_RUN
+        if bland:
+            col = int(np.argmax(eligible))  # Bland: lowest eligible index enters
+        else:
+            col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
+        pos = T[:, col] > _PIVOT_EPS
+        if not pos.any():
+            raise lp_core.LpInfeasibleError("no feasible point (the dual is unbounded)")
+        ratios = np.full(nrows, np.inf)
+        ratios[pos] = T[pos, -1] / T[pos, col]
+        rmin = ratios.min()
+        tied = np.nonzero(ratios <= rmin)[0]
+        row = int(tied[np.argmin(basis[tied])])  # lowest basic index leaves
+        T[row] /= T[row, col]
+        hit = np.nonzero(T[:, col])[0]
+        hit = hit[hit != row]
+        T[hit] -= T[hit, col][:, None] * T[row]
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        basis[row] = col
+        degenerate = bool(rmin <= _PIVOT_EPS)
+        degenerate_run = degenerate_run + 1 if degenerate else 0
+        counters["pivots"] += 1
+        counters["degenerate_pivots"] += degenerate
+        counters["bland_pivots"] += bland
+    else:
+        raise lp_core.SimplexError("iteration limit hit; pivoting is stuck")
+
+    # Re-solve the final basis system against the original data: this
+    # strips accumulated pivot error from both primal and dual values.
+    # B holds the basic columns of [-A, I].
+    B = np.zeros((nrows, nrows))
+    structural = basis < nv
+    B[:, structural] = -A[:, basis[structural]]
+    B[basis[~structural] - nv, np.nonzero(~structural)[0]] = 1.0
+    v = np.zeros(ncols)
+    v[basis] = np.linalg.solve(B, -b)
+    return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters

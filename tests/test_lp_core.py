@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_shape, uniform_demand
-from oracles import lp_oracle
+from oracles import lp_oracle, reference_simplex_min
 
 from ftfp import lp_core
-from ftfp.instance import Instance, validate
+from ftfp.instance import GenParams, Instance, generate, validate
 from ftfp.lp_core import (
     DualSolution,
     LpInfeasibleError,
@@ -60,6 +60,8 @@ def test_build_lp_caps_rows(instance_a):
         build_lp(instance_a, np.array([1.0]))
     with pytest.raises(ValueError, match="caps"):
         build_lp(instance_a, np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="caps"):
+        build_lp(instance_a, np.array([np.nan, 1.0]))
 
 
 def loop_built_lp(inst: Instance, caps: np.ndarray | None = None):
@@ -337,6 +339,56 @@ def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
     assert close(primal.objective, dantzig.objective)
     assert close(primal.objective, lp_oracle(inst))
     assert check_duality(primal, dual, inst).ok
+
+
+# ---------------------------------------------------------------------------
+# the pivot loop against its previous whole-array form, bit for bit
+
+
+def simplex_outcome(simplex, lp) -> tuple:
+    """(v, duals, counters) of one solve as bytes, or the infeasibility message."""
+    try:
+        v, duals, counters = simplex(lp.A, lp.b, lp.c)
+    except LpInfeasibleError as exc:
+        return ("infeasible", str(exc))
+    return v.tobytes(), duals.tobytes(), counters
+
+
+POOL_SHAPES = {"15x20": (15, 20, 5), "6x12": (6, 12, 4)}  # sites, clients, top demand of each benchmark pool
+
+
+def pool_lps(family: str) -> list:
+    """The LPs of one family: the benchmark pools' candidate-pair LPs, capped ones, degenerate ones."""
+    if family == "degenerate":
+        return [build_lp(degenerate_instance(seed)) for seed in DEGENERATE_SEEDS]
+    if family in POOL_SHAPES:
+        n, m, top = POOL_SHAPES[family]
+        pool = (generate(GenParams(n, m, 1, top, seed)) for seed in range(7, 71))
+        return [build_lp(inst, pairs=candidate_pairs(inst)) for inst in pool]
+    # uniform:2 on both pools, and uniform:0 (no feasible point) on a few instances
+    lps = [build_lp(generate(GenParams(n, m, 1, top, seed)), np.full(n, 2.0))
+           for n, m, top in POOL_SHAPES.values() for seed in range(7, 23)]
+    return lps + [build_lp(generate(GenParams(6, 12, 1, 4, seed)), np.zeros(6)) for seed in range(7, 11)]
+
+
+@pytest.mark.parametrize(
+    "family, run",
+    [("15x20", None), ("6x12", None), ("uniform2", None), ("degenerate", 0), ("degenerate", 1), ("degenerate", None)],
+)
+def test_simplex_matches_the_reference_bitwise(family, run, monkeypatch):
+    if run is not None:  # a run of 0 prices every pivot by Bland's rule, 1 switches after one
+        monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", run)
+    outcomes = []
+    for lp in pool_lps(family):
+        got = simplex_outcome(lp_core._simplex_min, lp)
+        assert got == simplex_outcome(reference_simplex_min, lp)
+        outcomes.append(got)
+    solved = [o for o in outcomes if o[0] != "infeasible"]
+    assert solved and all(o[2]["pivots"] > 0 for o in solved)
+    if family == "uniform2":
+        assert len(solved) == len(outcomes) - 4
+    if run is not None:
+        assert any(o[2]["bland_pivots"] > 0 for o in solved)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,19 @@ def test_oracle_node_total_is_pinned():
     assert sum(solve_oracle(inst)[1].counters["oracle"]["nodes"] for inst in pool) == ORACLE_POOL_NODES
 
 
+# Total simplex pivots (main LP plus residual LP) of the greedy solve_reduce
+# over the benchmark's 15x20 pool (demands 1-5, seeds 7-70), recorded when the
+# pivot loop moved its ratio test to python floats with the same choices.  A
+# change to pricing, the ratio test or the LP layout that moves a pivot moves it.
+LP_POOL_PIVOTS = 4888
+
+
+def test_lp_pivot_total_is_pinned():
+    pool = (generate(GenParams(15, 20, 1, 5, seed)) for seed in range(7, 71))
+    counters = [solve_reduce(inst, subroutine("greedy"))[1].counters for inst in pool]
+    assert sum(c["lp"]["pivots"] + c["residual_lp"]["pivots"] for c in counters) == LP_POOL_PIVOTS
+
+
 @pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])
 def test_failed_certificate_raises(solve, instance_b, monkeypatch):
     def refuted(*args, **kwargs):
