@@ -30,6 +30,7 @@ draw order), so the metric condition holds by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -170,7 +171,7 @@ def _reals(ln: int, toks, what: str) -> list[float]:
             v = float(t)
         except ValueError:
             raise ParseError(f"line {ln}: bad real {t!r} in {what}") from None
-        if not np.isfinite(v) or v < 0:
+        if not math.isfinite(v) or v < 0:
             raise ParseError(f"line {ln}: {what} must be finite and >= 0, got {t}")
         out.append(v)
     return out
@@ -256,10 +257,10 @@ def validate(inst: Instance) -> list[str]:
     entries are reported with the witnessing (i, j, k, l).
     """
     bad = []
-    for i, v in enumerate(inst.site_costs):
-        if not np.isfinite(v) or v < 0:
+    for i, v in enumerate(inst.site_costs.tolist()):
+        if not math.isfinite(v) or v < 0:
             bad.append(f"site cost f[{i}] = {v} violates f_i >= 0")
-    for j, v in enumerate(inst.demands):
+    for j, v in enumerate(inst.demands.tolist()):
         if v < 0:
             bad.append(f"demand r[{j}] = {v} violates r_j >= 0")
     if not np.all(np.isfinite(inst.dist)):

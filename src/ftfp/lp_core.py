@@ -28,7 +28,8 @@ restricted primal optimum padded with zeros and the restricted duals
 padded with beta_ij = 0 are thus feasible for the full relaxation with
 equal objectives, i.e. optimal for it, and check_duality on the full
 instance certifies them.  Caps break the bound (gamma_i lets sum_j
-beta_ij exceed f_i), so pruning applies to uncapped LPs only.
+beta_ij exceed f_i), so build_lp keeps P for every uncapped LP and
+every pair for a capped one.
 
 The x variables never reach the solver.  With y fixed, client j's best
 connection cost over its kept sites P_j is, by LP duality,
@@ -65,6 +66,9 @@ lambda_j + sum_l mu_lj max(0, d_lj - d_ij) on kept pairs (0 elsewhere)
 and gamma from the cap columns: each site budget is the dual's y_i
 row, alpha_j - beta_ij = sum_l mu_lj min(d_lj, d_ij) <= d_ij as the
 theta_j row bounds sum_l mu_lj by 1, and its value is the dual optimum.
+solve_lp checks the primal point and certificate it returns with
+check_duality on the full instance, under the LP's caps, and raises
+SimplexError if the check fails, so every value it reports is certified.
 
 The solver is a dense full-tableau simplex.  The entering column is
 the one with the most negative reduced cost (Dantzig's rule), ties
@@ -106,7 +110,7 @@ _DEGENERATE_RUN = 16
 
 
 class SimplexError(RuntimeError):
-    """Iteration limit or values beyond tolerance: indicates a solver bug for these LPs."""
+    """Iteration limit, values beyond tolerance or a refuted certificate: a solver bug for these LPs."""
 
 
 class LpInfeasibleError(ValueError):
@@ -173,27 +177,21 @@ def candidate_pairs(inst: Instance) -> np.ndarray:
     return inst.dist <= bound[None, :]
 
 
-def build_lp(
-    inst: Instance, caps: np.ndarray | None = None, pairs: np.ndarray | None = None
-) -> LinearProgram:
+def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
     """Assemble the dual of the cut form; caps, when given, adds a gamma_i column per site.
 
-    pairs, an (n, m) boolean mask, limits each client to its masked
-    sites (see candidate_pairs); None keeps every pair.  The mask is
-    valid for uncapped LPs only, so giving both raises.
+    Uncapped, each client keeps only its candidate_pairs sites, which
+    leaves the optimum unchanged; capped, every pair is kept, as the
+    mask is proven for uncapped LPs only.
     """
     n, m = inst.n, inst.m
-    if pairs is None:
-        pairs = np.ones((n, m), dtype=bool)
-    elif caps is not None:
-        raise ValueError("a pair mask is exact for uncapped LPs only; caps given too")
-    pairs = np.asarray(pairs, dtype=bool)
-    if pairs.shape != (n, m):
-        raise ValueError("pairs must be an (n, m) boolean mask")
-    if caps is not None:
+    if caps is None:
+        pairs = candidate_pairs(inst)
+    else:
         caps = np.asarray(caps, dtype=float)
         if caps.shape != (n,) or not np.all(np.isfinite(caps)) or np.any(caps < 0):
             raise ValueError("caps must be a finite nonnegative (n,) vector")
+        pairs = np.ones((n, m), dtype=bool)
     site, client = np.nonzero(pairs)  # kept pair t is the cut of (l, j) = (site[t], client[t])
     k = site.size
     r = inst.demands.astype(float)
@@ -281,14 +279,16 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 
 def solve_lp(
-    lp: LinearProgram, counters: dict[str, int] | None = None
+    lp: LinearProgram, counters: dict[str, float] | None = None
 ) -> tuple[FractionalSolution, DualSolution]:
-    """Solve to optimality; returns primal point and matching dual certificate.
+    """Solve to optimality; returns primal point and the dual certificate that passed check_duality.
 
-    Both are in the paper's variables (recovery in the module docstring).
-    When `counters` is given it receives the LP shape (rows, cols) and
-    the simplex work: pivots, degenerate_pivots (ratio zero) and
-    bland_pivots (entering column chosen by the anti-cycling fallback).
+    Both are in the paper's variables (recovery in the module docstring),
+    checked on lp.inst under lp.caps; a refuted certificate raises
+    SimplexError.  When `counters` is given it receives the LP shape
+    (rows, cols), the simplex work: pivots, degenerate_pivots (ratio
+    zero) and bland_pivots (entering column chosen by the anti-cycling
+    fallback), and the certified duality_gap (absolute).
     """
     v, duals, work = _simplex_min(lp.A, lp.b, lp.c)
     if counters is not None:
@@ -310,6 +310,11 @@ def solve_lp(
     primal = FractionalSolution(x=x, y=y, objective=objective)
     # -c.v = sum_j r_j alpha_j - cap.gamma, the certificate's value
     dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=float(-(lp.c @ v)))
+    cert = check_duality(primal, dual, inst, lp.caps)
+    if not cert.ok:
+        raise SimplexError(f"LP of {inst.name!r} failed its duality check: " + "; ".join(cert.messages))
+    if counters is not None:
+        counters["duality_gap"] = abs(cert.gap)
     return primal, dual
 
 

@@ -21,10 +21,10 @@ solve_oracle  Exact optimum by branch and bound with caps max_j r_j
 Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
 from files.  Every LP (the relaxation, and the residual LP behind
-rho_sub) is built over the pairs lp_core.candidate_pairs keeps, which
-drops the pairs no LP optimum can use; its value is certified with
-check_duality on the full instance, and a failed certificate raises
-RuntimeError.
+rho_sub) is built by lp_core.build_lp, which drops the pairs no LP
+optimum can use, and solved by lp_core.solve_lp, which certifies its
+value on the full instance and raises SimplexError (a RuntimeError)
+when the certificate fails.
 
 Every exact search gets the certified coverage duals alpha of the main
 LP relaxation (CappedInstance.alpha), which its Lagrangian bound prunes
@@ -59,8 +59,6 @@ from .lp_core import (
     DualSolution,
     FractionalSolution,
     build_lp,
-    candidate_pairs,
-    check_duality,
     solve_lp,
     trim_to_demand,
 )
@@ -230,19 +228,10 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 
 
-def _certified_lp(inst: Instance, what: str) -> tuple[FractionalSolution, DualSolution, dict[str, float]]:
-    """LP optimum of inst and the dual whose certificate passed; raises RuntimeError if not.
-
-    The LP is built over candidate_pairs(inst) only; the certificate is
-    checked on the full instance, so the value is a certified bound for
-    the full relaxation.
-    """
+def _certified_lp(inst: Instance) -> tuple[FractionalSolution, DualSolution, dict[str, float]]:
+    """LP optimum of inst, its certified dual and the LP's counters (see solve_lp)."""
     counters: dict[str, float] = {}
-    primal, dual = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)), counters)
-    cert = check_duality(primal, dual, inst)
-    if not cert.ok:
-        raise RuntimeError(f"{what} failed its duality check: " + "; ".join(cert.messages))
-    counters["duality_gap"] = abs(cert.gap)
+    primal, dual = solve_lp(build_lp(inst), counters)
     return primal, dual, counters
 
 
@@ -257,7 +246,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     counters: dict[str, dict[str, float]] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual, counters["lp"] = _certified_lp(inst, "LP relaxation")
+    frac, dual, counters["lp"] = _certified_lp(inst)
     wall["lp"] = time.perf_counter() - t
     lp_star = frac.objective
 
@@ -285,7 +274,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
-        res_lp, _, counters["residual_lp"] = _certified_lp(_live_clients(res), "residual LP")
+        res_lp, _, counters["residual_lp"] = _certified_lp(_live_clients(res))
         lp2 = res_lp.objective
         wall["residual_lp"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
@@ -318,7 +307,7 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual, lp_counters = _certified_lp(inst, "LP relaxation")
+    frac, dual, lp_counters = _certified_lp(inst)
     lp_star = frac.objective
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()

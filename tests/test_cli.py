@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ftfp import cli, pipeline
+from ftfp import lp_core
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
@@ -85,19 +84,34 @@ def test_lp_dump_format(inst_file, tmp_path):
     assert len(lines) == 2 + 1 + 2 + 1 + 2
 
 
+def refuted(*args, **kwargs) -> DualityReport:
+    """A check_duality that refutes every certificate."""
+    return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+
+
 @pytest.mark.parametrize("caps", [[], ["--caps", "uniform:2"]])
 def test_lp_failed_certificate_exits_one_before_any_output(inst_file, tmp_path, monkeypatch, capsys, caps):
-    def broken(lp, counters=None):
-        primal, dual = solve_lp(lp, counters)
-        return primal, dataclasses.replace(dual, alpha=dual.alpha + 1.0)
-
-    monkeypatch.setattr(cli, "solve_lp", broken)
+    monkeypatch.setattr(lp_core, "check_duality", refuted)
     dump = tmp_path / "lp.txt"
     assert main(["lp", "--in", inst_file, *caps, "--dump", str(dump)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "duality check" in err
+    assert "LP of 'a' failed its duality check" in err  # the instance is named after its file
     assert not dump.exists()
+
+
+def test_lp_dump_is_zero_off_candidate_pairs(tmp_path):
+    inst = random_instance(7, sites=6, clients=8)
+    path = tmp_path / "s7.ftfp"
+    path.write_text(serialize_instance(inst))
+    dump = tmp_path / "s7.lp"
+    assert main(["lp", "--in", str(path), "--dump", str(dump)]) == 0
+    rows = [np.array(line.split(), dtype=float) for line in dump.read_text().splitlines()[2:]]
+    n = inst.n
+    x, beta = np.array(rows[1 : 1 + n]), np.array(rows[2 + n :])
+    kept = candidate_pairs(inst)
+    assert not kept.all()  # the mask drops some pairs here
+    assert not x[~kept].any() and not beta[~kept].any()
 
 
 def test_lp_rejects_bad_caps_syntax(inst_file):
@@ -173,10 +187,7 @@ def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
 
 
 def test_solve_failed_certificate_exits_one(inst_file, monkeypatch, capsys):
-    def refuted(*args, **kwargs):
-        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
-
-    monkeypatch.setattr(pipeline, "check_duality", refuted)
+    monkeypatch.setattr(lp_core, "check_duality", refuted)
     assert main(["solve", "--in", inst_file, "--algo", "reduce"]) == 1
     assert "duality check" in capsys.readouterr().err
 

@@ -11,8 +11,10 @@ from oracles import lp_oracle, reference_simplex_min
 from ftfp import lp_core
 from ftfp.instance import GenParams, Instance, generate, validate
 from ftfp.lp_core import (
+    DualityReport,
     DualSolution,
     LpInfeasibleError,
+    SimplexError,
     build_lp,
     candidate_pairs,
     check_duality,
@@ -31,12 +33,19 @@ def lp_objective(inst: Instance) -> float:
     return solve_lp(build_lp(inst))[0].objective
 
 
+def full_lp(inst: Instance):
+    """build_lp(inst) over every pair: the uncapped LP with candidate_pairs lifted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_core, "candidate_pairs", lambda case: np.ones((case.n, case.m), dtype=bool))
+        return build_lp(inst)
+
+
 # ---------------------------------------------------------------------------
 # builder
 
 
 def test_build_lp_shapes(instance_b):
-    lp = build_lp(instance_b)
+    lp = full_lp(instance_b)
     n, m = instance_b.n, instance_b.m
     # rows y_i then theta_j; columns lambda_j then mu_lj per pair in site-major order
     assert lp.A.shape == (n + m, m + n * m)
@@ -99,30 +108,19 @@ def test_all_pairs_layout_is_the_loop_layout(seed):
     n, m = random_shape(rng, 1, 6)
     inst = random_instance(500 + seed, sites=n, clients=m, demand_min=0, demand_max=4)
     caps = rng.integers(1, 5, n).astype(float)
-    for lp, want in [
-        (build_lp(inst), loop_built_lp(inst)),
-        (build_lp(inst, pairs=np.ones((n, m), dtype=bool)), loop_built_lp(inst)),
-        (build_lp(inst, caps), loop_built_lp(inst, caps)),
-    ]:
+    for lp, want in [(full_lp(inst), loop_built_lp(inst)), (build_lp(inst, caps), loop_built_lp(inst, caps))]:
         for got, ref in zip((lp.A, lp.b, lp.c), want):
             assert got.tobytes() == ref.tobytes()
         assert lp.pairs.all()
-
-
-def test_pair_mask_with_caps_raises(instance_a):
-    with pytest.raises(ValueError, match="uncapped"):
-        build_lp(instance_a, np.array([2.0, 2.0]), pairs=candidate_pairs(instance_a))
-    with pytest.raises(ValueError, match="mask"):
-        build_lp(instance_a, pairs=np.ones((1, 2), dtype=bool))
 
 
 def test_pruned_lp_layout(instance_a):
     # f = (3, 10), d = (1, 2): u = min(3 + 1, 10 + 2) = 4, so both pairs stay;
     # raising d_1 to 5 > 4 drops site 1's pair, its cut column and its y_1 entries
     far = Instance(instance_a.site_costs, instance_a.demands, np.array([[1.0], [5.0]]))
-    mask = candidate_pairs(far)
-    assert mask.tolist() == [[True], [False]]
-    lp = build_lp(far, pairs=mask)
+    assert candidate_pairs(far).tolist() == [[True], [False]]
+    lp = build_lp(far)
+    assert lp.pairs.tolist() == [[True], [False]]
     assert lp.A.tolist() == [[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
     assert lp.b.tolist() == [-3.0, -10.0, -1.0] and lp.c.tolist() == [-2.0, -2.0]
     primal, dual = solve_lp(lp)
@@ -166,6 +164,25 @@ def test_fixture_a_capped_lp(instance_a):
 def test_infeasible_caps_raise(instance_a):
     with pytest.raises(LpInfeasibleError):
         solve_lp(build_lp(instance_a, np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("caps", [None, np.array([2.0, 2.0])])
+def test_refuted_certificate_raises(caps, instance_a, monkeypatch):
+    seen = []
+
+    def refuted(primal, dual, inst, checked_caps=None):
+        seen.append((inst, checked_caps))
+        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+
+    monkeypatch.setattr(lp_core, "check_duality", refuted)
+    counters: dict = {}
+    lp = build_lp(instance_a, caps)
+    with pytest.raises(SimplexError, match="'fixture-a' failed its duality check: duality gap too wide"):
+        solve_lp(lp, counters)
+    # the certificate is checked on the LP's own instance and caps, and no gap is recorded
+    [(inst, checked_caps)] = seen
+    assert inst is instance_a and checked_caps is lp.caps
+    assert "duality_gap" not in counters
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +260,13 @@ def test_solve_lp_is_deterministic():
 
 def test_solve_lp_counters(instance_b):
     counters: dict = {}
-    solve_lp(build_lp(instance_b), counters)
+    lp = build_lp(instance_b)
+    primal, _ = solve_lp(lp, counters)
     n, m = instance_b.n, instance_b.m
-    assert set(counters) == {"rows", "cols", "pivots", "degenerate_pivots", "bland_pivots"}
+    assert list(counters) == ["rows", "cols", "pivots", "degenerate_pivots", "bland_pivots", "duality_gap"]
     assert counters["rows"] == n + m
-    assert counters["cols"] == m + n * m
+    assert counters["cols"] == m + int(lp.pairs.sum()) == m + 2  # each client keeps only its own site
+    assert 0.0 <= counters["duality_gap"] <= 1e-6 * (1.0 + primal.objective)
     assert counters["pivots"] >= 1  # the slack basis v = 0 is not optimal when demand is positive
     assert counters["degenerate_pivots"] <= counters["pivots"]
     assert counters["bland_pivots"] <= counters["pivots"]
@@ -358,13 +377,13 @@ POOL_SHAPES = {"15x20": (15, 20, 5), "6x12": (6, 12, 4)}  # sites, clients, top 
 
 
 def pool_lps(family: str) -> list:
-    """The LPs of one family: the benchmark pools' candidate-pair LPs, capped ones, degenerate ones."""
+    """The LPs of one family: the benchmark pools' candidate-pair LPs, capped ones, degenerate all-pair ones."""
     if family == "degenerate":
-        return [build_lp(degenerate_instance(seed)) for seed in DEGENERATE_SEEDS]
+        return [full_lp(degenerate_instance(seed)) for seed in DEGENERATE_SEEDS]
     if family in POOL_SHAPES:
         n, m, top = POOL_SHAPES[family]
         pool = (generate(GenParams(n, m, 1, top, seed)) for seed in range(7, 71))
-        return [build_lp(inst, pairs=candidate_pairs(inst)) for inst in pool]
+        return [build_lp(inst) for inst in pool]
     # uniform:2 on both pools, and uniform:0 (no feasible point) on a few instances
     lps = [build_lp(generate(GenParams(n, m, 1, top, seed)), np.full(n, 2.0))
            for n, m, top in POOL_SHAPES.values() for seed in range(7, 23)]
@@ -399,11 +418,11 @@ def assert_pruned_lp_is_exact(inst: Instance) -> np.ndarray:
     """The LP over candidate_pairs is certified on the full instance and has the full optimum."""
     mask = candidate_pairs(inst)
     assert mask.any(axis=0).all()  # every client keeps a site
-    primal, dual = solve_lp(build_lp(inst, pairs=mask))
+    primal, dual = solve_lp(build_lp(inst))
     assert not primal.x[~mask].any() and not dual.beta[~mask].any()
     rep = check_duality(primal, dual, inst)
     assert rep.ok, rep.messages
-    full = solve_lp(build_lp(inst))[0].objective
+    full = solve_lp(full_lp(inst))[0].objective
     assert close(primal.objective, full), (primal.objective, full)
     want = lp_oracle(inst)
     assert close(primal.objective, want), (primal.objective, want)
@@ -461,9 +480,9 @@ def loop_fill(y: np.ndarray, inst: Instance, mask: np.ndarray) -> np.ndarray:
 def test_connections_fill_y_in_scan_order(seed):
     for inst in (random_instance(900 + seed, sites=5, clients=6, demand_min=0, demand_max=4),
                  degenerate_instance(8100 + seed)):
-        for mask in (np.ones((inst.n, inst.m), dtype=bool), candidate_pairs(inst)):
-            primal, _ = solve_lp(build_lp(inst, pairs=mask))
-            assert np.allclose(primal.x, loop_fill(primal.y, inst, mask), rtol=0.0, atol=1e-12)
+        for lp in (full_lp(inst), build_lp(inst)):
+            primal, _ = solve_lp(lp)
+            assert np.allclose(primal.x, loop_fill(primal.y, inst, lp.pairs), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +560,7 @@ def test_trim_reaches_exact_coverage(seed):
 def test_trim_leaves_the_lp_fill_bitwise_unchanged(seed):
     # solve_lp's x is already a scan fill meeting each demand, so refilling it changes no bit
     inst = random_instance(seed, sites=15, clients=20, demand_min=1, demand_max=5)
-    primal, _ = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)))
+    primal, _ = solve_lp(build_lp(inst))
     assert trim_to_demand(primal, inst).x.tobytes() == primal.x.tobytes()
 
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_instance, random_shape, uniform_demand
 from oracles import keep_cheapest, lp_oracle
 
-from ftfp import pipeline
+from ftfp import lp_core, pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
 from ftfp.ftfl_solvers import (
     BudgetExceededError,
@@ -28,7 +28,6 @@ from ftfp.lp_core import (
     FractionalSolution,
     build_lp,
     candidate_pairs,
-    check_duality,
     solve_lp,
     trim_to_demand,
 )
@@ -268,7 +267,7 @@ def test_pair_pruning_changes_no_plan(sites, clients, top, seed, monkeypatch):
     assert candidate_pairs(inst).sum() < inst.n * inst.m  # the two runs solve different LPs
     pruned = every_flow(inst)
     assert any(not isinstance(flow, str) for flow in pruned)
-    monkeypatch.setattr(pipeline, "candidate_pairs", lambda case: np.ones((case.n, case.m), dtype=bool))
+    monkeypatch.setattr(lp_core, "candidate_pairs", lambda case: np.ones((case.n, case.m), dtype=bool))
     assert every_flow(inst) == pruned
 
 
@@ -325,10 +324,8 @@ def test_report_counters_certify_every_lp(instance_a):
 
 
 def certified_alpha(inst: Instance) -> np.ndarray:
-    """The main LP's coverage duals, certified as the pipeline certifies them."""
-    primal, dual = solve_lp(build_lp(inst, pairs=candidate_pairs(inst)))
-    assert check_duality(primal, dual, inst).ok
-    return dual.alpha
+    """The main LP's coverage duals, certified by solve_lp as in the pipeline."""
+    return solve_lp(build_lp(inst))[1].alpha
 
 
 def test_report_counters_carry_the_solver_counters():
@@ -382,7 +379,7 @@ def test_failed_certificate_raises(solve, instance_b, monkeypatch):
     def refuted(*args, **kwargs):
         return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
 
-    monkeypatch.setattr(pipeline, "check_duality", refuted)
+    monkeypatch.setattr(lp_core, "check_duality", refuted)
     with pytest.raises(RuntimeError, match="duality check"):
         solve(instance_b)
 
