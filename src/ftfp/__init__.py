@@ -5,114 +5,26 @@ facility; sites may host any number of facilities.  The package builds
 and solves the LP relaxation with dual certificates, rounds fractional
 optima to verified integral plans through two decomposition pipelines,
 computes exact optima on small instances, and benchmarks the lot.
+
+The root exports the solve entry points, their inputs, results and
+errors; every other name is imported from the module that defines it.
 """
 
-from .decompose import (
-    Decomposition,
-    decompose_large,
-    decompose_reduce,
-    residual_instance,
-    snap,
-)
-from .ftfl_solvers import (
-    EXACT,
-    GREEDY,
-    BudgetExceededError,
-    CappedInstance,
-    InfeasibleError,
-    IntegralSolution,
-    Subroutine,
-    optimal_assignment,
-    solve_exact,
-    solve_greedy,
-    subroutine,
-    to_capped,
-)
-from .instance import (
-    GenParams,
-    Instance,
-    ParseError,
-    generate,
-    parse_instance,
-    serialize_instance,
-    solution_cost,
-    validate,
-)
-from .lp_core import (
-    DualityReport,
-    DualSolution,
-    FractionalSolution,
-    LinearProgram,
-    LpInfeasibleError,
-    SimplexError,
-    build_lp,
-    check_duality,
-    solve_lp,
-    trim_to_demand,
-)
-from .pipeline import (
-    SolveReport,
-    SolveTrace,
-    combine,
-    parse_report,
-    parse_solution,
-    report_to_json,
-    serialize_solution,
-    solve_large,
-    solve_oracle,
-    solve_reduce,
-    solve_trace,
-    trim_surplus,
-    verify_solution,
-)
+from .ftfl_solvers import BudgetExceededError, InfeasibleError, IntegralSolution, subroutine
+from .instance import GenParams, Instance, generate
+from .pipeline import SolveReport, solve_large, solve_oracle, solve_reduce, verify_solution
 
 __all__ = [
     "BudgetExceededError",
-    "CappedInstance",
-    "Decomposition",
-    "DualityReport",
-    "DualSolution",
-    "EXACT",
-    "FractionalSolution",
     "GenParams",
-    "GREEDY",
     "InfeasibleError",
     "Instance",
     "IntegralSolution",
-    "LinearProgram",
-    "LpInfeasibleError",
-    "ParseError",
-    "SimplexError",
     "SolveReport",
-    "SolveTrace",
-    "Subroutine",
-    "build_lp",
-    "check_duality",
-    "combine",
-    "decompose_large",
-    "decompose_reduce",
     "generate",
-    "optimal_assignment",
-    "parse_instance",
-    "parse_report",
-    "parse_solution",
-    "report_to_json",
-    "residual_instance",
-    "serialize_instance",
-    "serialize_solution",
-    "snap",
-    "solution_cost",
-    "solve_exact",
-    "solve_greedy",
     "solve_large",
-    "solve_lp",
     "solve_oracle",
     "solve_reduce",
-    "solve_trace",
     "subroutine",
-    "to_capped",
-    "trim_surplus",
-    "trim_to_demand",
-    "validate",
     "verify_solution",
 ]

@@ -36,7 +36,8 @@ solve_exact   Depth-first branch and bound over opening vectors, sites
                  rho_i >= 0 up to rounding, so L at the root is about
                  sum_j r_j alpha_j, the LP value when the LP is this
                  instance's.
-                 alpha = None means alpha = 0: then rho = f, L is the
+                 A CappedInstance built without alpha stores zeros:
+                 then rho = f + 0.0 = f bit for bit (f >= 0), L is the
                  opening cost of the decided sites in the same float
                  operations as step 3, and a node it prunes step 3
                  would prune too, so callers without duals get the
@@ -125,7 +126,7 @@ class CappedInstance:
 
     base: Instance
     caps: np.ndarray  # (n,) int
-    alpha: np.ndarray | None = None  # (m,) coverage multipliers for solve_exact's bound
+    alpha: np.ndarray | None = None  # (m,) coverage multipliers for solve_exact's bound; None stores zeros
 
     def __post_init__(self):
         caps = np.asarray(self.caps, dtype=np.int64)
@@ -133,12 +134,11 @@ class CappedInstance:
             raise ValueError("caps must be a nonnegative integer vector of length n")
         caps.setflags(write=False)
         object.__setattr__(self, "caps", caps)
-        if self.alpha is not None:
-            alpha = np.array(self.alpha, dtype=np.float64)
-            if alpha.shape != (self.base.m,) or not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
-                raise ValueError("alpha must be a finite nonnegative vector of length m")
-            alpha.setflags(write=False)
-            object.__setattr__(self, "alpha", alpha)
+        alpha = np.array(self.alpha if self.alpha is not None else np.zeros(self.base.m), dtype=np.float64)
+        if alpha.shape != (self.base.m,) or not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
+            raise ValueError("alpha must be a finite nonnegative vector of length m")
+        alpha.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
 
     @cached_property
     def scan_order(self) -> np.ndarray:
@@ -176,12 +176,6 @@ def node_budget() -> int:
     if budget < 1:
         raise ValueError(f"{NODE_BUDGET_ENV} must be >= 1, got {budget}")
     return budget
-
-
-def optimal_assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
-    """Optimal connections for a fixed opening vector (greedy per client)."""
-    x = _assign(y, inst, scan_order(inst))
-    return x, float((inst.dist * x).sum())
 
 
 def _assign(y: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
@@ -229,11 +223,8 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     caps_list = [int(c) for c in caps]
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
     # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites >= k add
-    if ci.alpha is None:
-        rho, lag_root = f, 0.0
-    else:
-        rho = (inst.site_costs + np.minimum(inst.dist - ci.alpha, 0.0).sum(axis=1)).tolist()
-        lag_root = float(inst.demands @ ci.alpha)
+    rho = (inst.site_costs + np.minimum(inst.dist - ci.alpha, 0.0).sum(axis=1)).tolist()
+    lag_root = float(inst.demands @ ci.alpha)
     suffix = [0.0] * (n + 1)
     for i in reversed(range(n)):
         suffix[i] = suffix[i + 1] + min(0.0, caps_list[i] * rho[i])

@@ -1,10 +1,10 @@
-"""End-to-end solve flows: LP, decompose, residual stage, combine, verify.
+"""End-to-end solve flows: LP, decompose, residual stage, sum of the stages, verify.
 
 Three ways to produce an integral plan for an instance:
 
 solve_reduce  LP optimum -> reduce-mode decomposition -> residual solved
               as a capped instance (max(max rbar, 2) copies per site) by
-              a pluggable subroutine -> combined with the integral part.
+              a pluggable subroutine -> added to the integral part.
               Cost obeys  cost_total <= max(1, rho_sub) * lp_star  where
               rho_sub is the subroutine's ratio on the residual.
 
@@ -129,13 +129,6 @@ def report_to_json(report: SolveReport) -> str:
 def parse_report(text: str) -> SolveReport:
     data = json.loads(text)
     return SolveReport(**data)
-
-
-def combine(s1: IntegralSolution, s2: IntegralSolution) -> IntegralSolution:
-    """Pointwise sum of two plans; stage costs add because costs are linear."""
-    if s1.y.shape != s2.y.shape or s1.x.shape != s2.x.shape:
-        raise ValueError("stage solutions have mismatched shapes")
-    return IntegralSolution(y=s1.y + s2.y, x=s1.x + s2.x, cost=s1.cost + s2.cost)
 
 
 def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
@@ -284,8 +277,10 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         chain_bound = max(1.0, rho) * lp_star
     else:
         chain_bound = (1.0 + rho * inst.n / inst.min_demand) * lp_star
+    # the stages add pointwise, and so do their costs, which are linear
+    plan = IntegralSolution(y=s1.y + s2.y, x=s1.x + s2.x, cost=s1.cost + s2.cost)
     return _report(
-        inst, algo, combine(s1, s2), wall, t_total, counters, lp_star=lp_star, chain_bound=chain_bound,
+        inst, algo, plan, wall, t_total, counters, lp_star=lp_star, chain_bound=chain_bound,
         cost_s1=s1.cost, cost_s2=s2.cost, lp_star_residual=lp2, rho_sub=rho,
     )
 

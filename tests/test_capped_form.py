@@ -9,7 +9,8 @@ from conftest import random_instance
 from oracles import enumerate_optimum, lp_oracle, materialize_split, merge_solution
 
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_solvers import CappedInstance, IntegralSolution, solution_cost, solve_exact, to_capped
+from ftfp.ftfl_solvers import CappedInstance, IntegralSolution, solve_exact, to_capped
+from ftfp.instance import solution_cost
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import split_counts
 

@@ -86,7 +86,7 @@ def test_lp_dump_format(inst_file, tmp_path):
 
 def refuted(*args, **kwargs) -> DualityReport:
     """A check_duality that refutes every certificate."""
-    return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+    return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
 
 
 @pytest.mark.parametrize("caps", [[], ["--caps", "uniform:2"]])

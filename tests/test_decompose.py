@@ -15,8 +15,7 @@ from ftfp.decompose import (
     residual_instance,
     snap,
 )
-from ftfp.ftfl_solvers import solution_cost
-from ftfp.instance import Instance
+from ftfp.instance import Instance, solution_cost
 from ftfp.lp_core import FractionalSolution, build_lp, solve_lp, trim_to_demand
 
 

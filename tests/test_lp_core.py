@@ -172,7 +172,7 @@ def test_refuted_certificate_raises(caps, instance_a, monkeypatch):
 
     def refuted(primal, dual, inst, checked_caps=None):
         seen.append((inst, checked_caps))
-        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+        return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
 
     monkeypatch.setattr(lp_core, "check_duality", refuted)
     counters: dict = {}
@@ -494,8 +494,7 @@ def test_check_duality_rejects_undercoverage(instance_a):
     broken = type(primal)(x=primal.x * 0.25, y=primal.y, objective=primal.objective)
     rep = check_duality(broken, dual, instance_a)
     assert not rep.ok
-    assert any("coverage" in msg for msg in rep.messages)
-    assert rep.worst_slack["coverage"] < -1e-7
+    assert any(msg.startswith("coverage:") for msg in rep.messages)
 
 
 def test_check_duality_rejects_linking_violation(instance_b):
@@ -531,7 +530,7 @@ def test_check_duality_reports_negative_dual(instance_a):
     neg = DualSolution(alpha=dual.alpha - 10.0, beta=dual.beta, objective=dual.objective)
     rep = check_duality(primal, neg, instance_a)
     assert not rep.ok
-    assert rep.worst_slack["dual_nonneg"] < -1e-7
+    assert any(msg.startswith("dual_nonneg:") for msg in rep.messages)
 
 
 # ---------------------------------------------------------------------------

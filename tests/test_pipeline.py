@@ -33,7 +33,6 @@ from ftfp.lp_core import (
 )
 from ftfp.pipeline import (
     SolveReport,
-    combine,
     parse_report,
     parse_solution,
     report_to_json,
@@ -377,7 +376,7 @@ def test_lp_pivot_total_is_pinned():
 @pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])
 def test_failed_certificate_raises(solve, instance_b, monkeypatch):
     def refuted(*args, **kwargs):
-        return DualityReport(ok=False, gap=1.0, worst_slack={}, messages=["duality gap too wide"])
+        return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
 
     monkeypatch.setattr(lp_core, "check_duality", refuted)
     with pytest.raises(RuntimeError, match="duality check"):
@@ -385,23 +384,7 @@ def test_failed_certificate_raises(solve, instance_b, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# combine / trim / verify
-
-
-def test_combine_adds_pointwise():
-    a = IntegralSolution(y=np.array([1, 0]), x=np.array([[1], [0]]), cost=4.0)
-    b = IntegralSolution(y=np.array([0, 2]), x=np.array([[0], [2]]), cost=5.0)
-    c = combine(a, b)
-    assert np.array_equal(c.y, [1, 2])
-    assert np.array_equal(c.x, [[1], [2]])
-    assert c.cost == 9.0
-
-
-def test_combine_rejects_mismatched_shapes():
-    a = IntegralSolution(y=np.array([1]), x=np.array([[1]]), cost=1.0)
-    b = IntegralSolution(y=np.array([1, 1]), x=np.array([[1], [1]]), cost=1.0)
-    with pytest.raises(ValueError, match="mismatched"):
-        combine(a, b)
+# trim / verify
 
 
 def test_trim_surplus_drops_most_expensive(instance_a):
