@@ -38,7 +38,6 @@ from .pipeline import (
     solve_large,
     solve_oracle,
     solve_reduce,
-    solve_trace,
     verify_solution,
 )
 
@@ -118,14 +117,13 @@ def cmd_solve(args) -> int:
     inst = _load_instance(getattr(args, "in"))
     if args.algo == "oracle" and args.dump_decomposition:
         raise ValueError("the oracle does not decompose; drop --dump-decomposition")
-    with solve_trace() as trace:
-        sol, report = _solve(inst, args.algo, args.ftfl)
+    sol, report = _solve(inst, args.algo, args.ftfl)
     if args.out:
         Path(args.out).write_text(serialize_solution(sol))
     if args.report:
         Path(args.report).write_text(report_to_json(report))
     if args.dump_decomposition:
-        dec = trace.decomposition
+        dec = report.decomposition
         rows = [dec.yhat, *dec.xhat, dec.ybar, *dec.xbar]
         Path(args.dump_decomposition).write_text(format_records("ftfp-dec 1", inst.n, inst.m, rows))
     print(
@@ -158,6 +156,8 @@ def cmd_bench(args) -> int:
         "seed", "n", "m", "R", "P", "algo", "ftfl",
         "lp_star", "cost_total", "rho_sub", "ratio_total", "chain_slack", "wall_ms",
     ]
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rows: list[dict] = []
     for t in range(args.trials):
         seed = args.seed + t

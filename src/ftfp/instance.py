@@ -142,6 +142,8 @@ class GenParams:
             raise ValueError("sites and clients must be >= 1")
         if self.demand_min < 0 or self.demand_min > self.demand_max:
             raise ValueError("need 0 <= demand_min <= demand_max")
+        if not (math.isfinite(self.cost_min) and math.isfinite(self.cost_max)):
+            raise ValueError("cost_min and cost_max must be finite")
         if self.cost_min < 0 or self.cost_min > self.cost_max:
             raise ValueError("need 0 <= cost_min <= cost_max")
 

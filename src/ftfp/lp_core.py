@@ -96,7 +96,7 @@ accumulated pivot drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,30 +137,26 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Primal LP point: openings y (n,), connections x (n, m), objective."""
+    """Primal LP point: openings y (n,), connections x (n, m), objective.
+
+    counters holds the work solve_lp did for it (see solve_lp); points
+    built elsewhere leave it empty.
+    """
 
     x: np.ndarray
     y: np.ndarray
     objective: float
+    counters: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Dual certificate: alpha (m,), beta (n, m), gamma (n,) when capped."""
+    """Dual certificate: alpha (m,), beta (n, m), gamma (n,) when capped; objective is r.alpha - cap.gamma."""
 
     alpha: np.ndarray
     beta: np.ndarray
     objective: float
     gamma: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Result of checking a primal/dual pair against each other."""
-
-    ok: bool
-    gap: float
-    messages: list[str]
 
 
 def candidate_pairs(inst: Instance) -> np.ndarray:
@@ -277,21 +273,17 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters
 
 
-def solve_lp(
-    lp: LinearProgram, counters: dict[str, float] | None = None
-) -> tuple[FractionalSolution, DualSolution]:
+def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, DualSolution]:
     """Solve to optimality; returns primal point and the dual certificate that passed check_duality.
 
     Both are in the paper's variables (recovery in the module docstring),
     checked on lp.inst under lp.caps; a refuted certificate raises
-    SimplexError.  When `counters` is given it receives the LP shape
-    (rows, cols), the simplex work: pivots, degenerate_pivots (ratio
-    zero) and bland_pivots (entering column chosen by the anti-cycling
-    fallback), and the certified duality_gap (absolute).
+    SimplexError.  The primal point's counters hold the LP shape (rows,
+    cols), the simplex work: pivots, degenerate_pivots (ratio zero) and
+    bland_pivots (entering column chosen by the anti-cycling fallback),
+    and the certified duality_gap |primal.objective - dual.objective|.
     """
     v, duals, work = _simplex_min(lp.A, lp.b, lp.c)
-    if counters is not None:
-        counters.update(rows=lp.A.shape[0], cols=lp.A.shape[1], **work)
     if v.min() < -FEAS_TOL or duals.min() < -FEAS_TOL:
         raise SimplexError("negative primal or dual values beyond tolerance")
     v = np.maximum(v, 0.0)
@@ -305,15 +297,25 @@ def solve_lp(
     alpha = lam + (mu * inst.dist[site, client]) @ of_client
     beta = np.where(lp.pairs, lam + (-lp.A[:n, m : m + k] * mu) @ of_client, 0.0)
     gamma = v[m + k :] if lp.caps is not None else None
-    primal = FractionalSolution(x=x, y=y, objective=solution_cost(inst, y, x))
-    # -c.v = sum_j r_j alpha_j - cap.gamma, the certificate's value
-    dual = DualSolution(alpha=alpha, beta=beta, gamma=gamma, objective=float(-(lp.c @ v)))
-    cert = check_duality(primal, dual, inst, lp.caps)
-    if not cert.ok:
-        raise SimplexError(f"LP of {inst.name!r} failed its duality check: " + "; ".join(cert.messages))
-    if counters is not None:
-        counters["duality_gap"] = abs(cert.gap)
+    dual = DualSolution(alpha, beta, _dual_value(inst, lp.caps, alpha, gamma), gamma)
+    objective = solution_cost(inst, y, x)
+    gap = abs(objective - dual.objective)
+    counters = dict(rows=lp.A.shape[0], cols=lp.A.shape[1], **work, duality_gap=gap)
+    primal = FractionalSolution(x=x, y=y, objective=objective, counters=counters)
+    bad = check_duality(primal, dual, inst, lp.caps)
+    if bad:
+        raise SimplexError(f"LP of {inst.name!r} failed its duality check: " + "; ".join(bad))
     return primal, dual
+
+
+def _dual_value(
+    inst: Instance, caps: np.ndarray | None, alpha: np.ndarray, gamma: np.ndarray | None
+) -> float:
+    """The certificate's value sum_j r_j alpha_j - cap.gamma; gamma counts only under caps."""
+    value = float(inst.demands @ alpha)
+    if caps is not None and gamma is not None:
+        value -= float(np.asarray(caps, float) @ gamma)
+    return value
 
 
 def check_duality(
@@ -321,14 +323,14 @@ def check_duality(
     dual: DualSolution,
     inst: Instance,
     caps: np.ndarray | None = None,
-) -> DualityReport:
-    """Validate a primal/dual pair as a certificate of LP optimality.
+) -> list[str]:
+    """Validate a primal/dual pair as a certificate of LP optimality; returns one message per failure.
 
     Slack convention: every constraint is written as slack >= 0, and a
     message led by the family's name reports each family whose worst
-    (most negative) slack is below -1e-7.  ok means both points are
-    feasible within 1e-7 and the objectives agree within 1e-6 relative,
-    which certifies optimality by weak duality.
+    (most negative) slack is below -1e-7.  No message means both points
+    are feasible within 1e-7 and the objectives agree within 1e-6
+    relative, which certifies optimality by weak duality.
     """
     n, m = inst.n, inst.m
     messages: list[str] = []
@@ -353,9 +355,7 @@ def check_duality(
     family("edge", (inst.dist - dual.alpha[None, :] + dual.beta).ravel(), "alpha_j - beta_ij <= d_ij")
 
     primal_cost = solution_cost(inst, primal.y, primal.x)
-    dual_value = float(inst.demands @ dual.alpha)
-    if caps is not None:
-        dual_value -= float(np.asarray(caps, float) @ gamma)
+    dual_value = _dual_value(inst, caps, dual.alpha, dual.gamma)
     if abs(primal_cost - primal.objective) > DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
         messages.append(
             f"objective field {primal.objective} disagrees with recomputed cost {primal_cost}"
@@ -367,7 +367,7 @@ def check_duality(
     gap = primal_cost - dual_value
     if abs(gap) > DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
         messages.append(f"duality gap {gap:.3e} exceeds tolerance")
-    return DualityReport(ok=not messages, gap=gap, messages=messages)
+    return messages
 
 
 def trim_to_demand(sol: FractionalSolution, inst: Instance) -> FractionalSolution:

@@ -38,30 +38,23 @@ the dual-free search.
 
 Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
 the proven chain bound with its slack, wall times, and LP and solver
-counters, and serialize to JSON with exactly those field names.
+counters, and serialize to JSON with exactly those field names.  A
+rounding flow's report also carries the decomposition its plan was built
+from, which stays out of the JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
 from .instance import Instance, format_records, read_records, scan_fill, scan_order, solution_cost
-from .lp_core import (
-    DualSolution,
-    FractionalSolution,
-    build_lp,
-    solve_lp,
-    trim_to_demand,
-)
+from .lp_core import build_lp, solve_lp, trim_to_demand
 
 COST_REL_TOL = 1e-6
 _ZERO_COST_TOL = 1e-9
@@ -80,6 +73,8 @@ class SolveReport:
     pivot counts and certified duality gap (see solve_lp); "subroutine"
     (a non-empty residual) and "oracle" hold the integral solver's
     counters (search nodes, greedy rounds; see ftfl_solvers).
+    decomposition is the one solve_reduce and solve_large rounded (None
+    from solve_oracle); it is left out of the JSON and of comparisons.
     """
 
     algo: str  # "reduce" | "large" | "oracle"
@@ -94,36 +89,12 @@ class SolveReport:
     chain_slack: float
     wall_times: dict[str, float] = field(default_factory=dict)
     counters: dict[str, dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class SolveTrace:
-    """Intermediate results of the last rounding flow run inside solve_trace()."""
-
-    decomposition: Decomposition | None = None
-
-
-_ACTIVE_TRACE: ContextVar[SolveTrace | None] = ContextVar("ftfp_solve_trace", default=None)
-
-
-@contextmanager
-def solve_trace() -> Iterator[SolveTrace]:
-    """Collect what solve_reduce / solve_large computed inside the block.
-
-    The trace travels in a context variable rather than a parameter, so
-    callers and wrappers of the solve functions keep their (inst, sub)
-    signature; it is set only for the block and only in this context.
-    """
-    trace = SolveTrace()
-    token = _ACTIVE_TRACE.set(trace)
-    try:
-        yield trace
-    finally:
-        _ACTIVE_TRACE.reset(token)
+    decomposition: Decomposition | None = field(default=None, compare=False, repr=False)
 
 
 def report_to_json(report: SolveReport) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+    data = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "decomposition"}
+    return json.dumps(data, indent=2) + "\n"
 
 
 def parse_report(text: str) -> SolveReport:
@@ -134,12 +105,13 @@ def parse_report(text: str) -> SolveReport:
 def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
     """Cut every over-covered client back to its demand, dearest connections first (scan_fill).
 
-    A plan with no over-covered client is returned as the same object.
+    A plan with no over-covered client is returned as the same object; a
+    trimmed one keeps sol's counters.
     """
     if not np.any(sol.x.sum(axis=0) > inst.demands):
         return sol
     x = scan_fill(sol.x, inst, scan_order(inst))
-    return IntegralSolution(y=sol.y, x=x, cost=solution_cost(inst, sol.y, x))
+    return replace(sol, x=x, cost=solution_cost(inst, sol.y, x))
 
 
 def verify_solution(inst: Instance, sol: IntegralSolution) -> list[str]:
@@ -178,12 +150,12 @@ def _verified(inst: Instance, sol: IntegralSolution, algo: str) -> IntegralSolut
 
 def _report(
     inst: Instance, algo: str, plan: IntegralSolution, wall: dict[str, float], t_total: float,
-    counters: dict[str, dict[str, float]], *, lp_star: float, chain_bound: float, **stages: float,
+    counters: dict[str, dict[str, float]], *, lp_star: float, chain_bound: float, **stages,
 ) -> tuple[IntegralSolution, SolveReport]:
     """The tail every flow shares: verify the plan, take its ratio to lp_star, report.
 
     stages holds the report fields only the flow knows: the stage costs,
-    lp_star_residual and rho_sub.
+    lp_star_residual, rho_sub and the decomposition.
     """
     t = time.perf_counter()
     plan = _verified(inst, plan, algo)
@@ -221,13 +193,6 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 
 
-def _certified_lp(inst: Instance) -> tuple[FractionalSolution, DualSolution, dict[str, float]]:
-    """LP optimum of inst, its certified dual and the LP's counters (see solve_lp)."""
-    counters: dict[str, float] = {}
-    primal, dual = solve_lp(build_lp(inst), counters)
-    return primal, dual, counters
-
-
 def _live_clients(inst: Instance) -> Instance:
     """The clients with demand left; the others add nothing to the LP optimum."""
     live = np.nonzero(inst.demands > 0)[0]
@@ -239,17 +204,15 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     counters: dict[str, dict[str, float]] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual, counters["lp"] = _certified_lp(inst)
+    frac, dual = solve_lp(build_lp(inst))
     wall["lp"] = time.perf_counter() - t
     lp_star = frac.objective
+    counters["lp"] = frac.counters
 
     t = time.perf_counter()
     frac = trim_to_demand(frac, inst)
     dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
     wall["decompose"] = time.perf_counter() - t
-    trace = _ACTIVE_TRACE.get()
-    if trace is not None:
-        trace.decomposition = dec
     s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=solution_cost(inst, dec.yhat, dec.xhat))
 
     lp2 = 0.0
@@ -267,8 +230,9 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
-        res_lp, _, counters["residual_lp"] = _certified_lp(_live_clients(res))
+        res_lp = solve_lp(build_lp(_live_clients(res)))[0]
         lp2 = res_lp.objective
+        counters["residual_lp"] = res_lp.counters
         wall["residual_lp"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
 
@@ -281,7 +245,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     plan = IntegralSolution(y=s1.y + s2.y, x=s1.x + s2.x, cost=s1.cost + s2.cost)
     return _report(
         inst, algo, plan, wall, t_total, counters, lp_star=lp_star, chain_bound=chain_bound,
-        cost_s1=s1.cost, cost_s2=s2.cost, lp_star_residual=lp2, rho_sub=rho,
+        cost_s1=s1.cost, cost_s2=s2.cost, lp_star_residual=lp2, rho_sub=rho, decomposition=dec,
     )
 
 
@@ -302,14 +266,14 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual, lp_counters = _certified_lp(inst)
+    frac, dual = solve_lp(build_lp(inst))
     lp_star = frac.objective
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
     sol = solve_exact(to_capped(inst, caps, dual.alpha))
     wall["oracle"] = time.perf_counter() - t
-    counters = {"lp": lp_counters, "oracle": dict(sol.counters)}  # read before _verified rebuilds sol
+    counters = {"lp": frac.counters, "oracle": dict(sol.counters)}
     return _report(
         inst, "oracle", sol, wall, t_total, counters, lp_star=lp_star, chain_bound=sol.cost,
         cost_s1=sol.cost, cost_s2=0.0, lp_star_residual=0.0, rho_sub=0.0,

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ftfp import lp_core
+from ftfp import cli, lp_core, pipeline
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
 from ftfp.instance import parse_instance
-from ftfp.lp_core import DualityReport, build_lp, candidate_pairs, solve_lp, trim_to_demand
+from ftfp.lp_core import build_lp, candidate_pairs, solve_lp, trim_to_demand
 from ftfp.pipeline import parse_solution
 
 from conftest import INSTANCE_A, random_instance
@@ -60,6 +61,17 @@ def test_gen_rejects_inverted_demand_range(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+@pytest.mark.parametrize("bounds", [["--cost-max", "inf"], ["--cost-min", "nan", "--cost-max", "nan"]])
+def test_non_finite_cost_bounds_exit_two(command, bounds, tmp_path, capsys):
+    out = str(tmp_path / "x")
+    tail = ["--out", out] if command == "gen" else ["--trials", "1", "--csv", out]
+    rc = main([command, "--sites", "2", "--clients", "2", "--seed", "0", *bounds, *tail])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # lp
 
@@ -84,9 +96,9 @@ def test_lp_dump_format(inst_file, tmp_path):
     assert len(lines) == 2 + 1 + 2 + 1 + 2
 
 
-def refuted(*args, **kwargs) -> DualityReport:
+def refuted(*args, **kwargs) -> list[str]:
     """A check_duality that refutes every certificate."""
-    return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
+    return ["duality gap too wide"]
 
 
 @pytest.mark.parametrize("caps", [[], ["--caps", "uniform:2"]])
@@ -175,15 +187,63 @@ def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
     # reference: decompose the LP optimum afresh and format it the same way
     frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
     dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
-    want = ["ftfp-dec 1", f"{inst.n} {inst.m}", " ".join(str(int(v)) for v in dec.yhat)]
-    want += [" ".join(str(int(v)) for v in row) for row in dec.xhat]
-    want.append(" ".join(repr(float(v)) for v in dec.ybar))
-    want += [" ".join(repr(float(v)) for v in row) for row in dec.xbar]
-    assert dump.read_text() == "\n".join(want) + "\n"
+    assert dump.read_text() == decomposition_file(inst, dec)
     counters = json.loads(rep.read_text())["counters"]
     kept = int(candidate_pairs(inst).sum())
     assert (counters["lp"]["rows"], counters["lp"]["cols"]) == (inst.n + inst.m, inst.m + kept)
     assert counters["lp"]["pivots"] > 0
+
+
+def decomposition_file(inst, dec) -> str:
+    """The text solve --dump-decomposition writes for dec."""
+    want = ["ftfp-dec 1", f"{inst.n} {inst.m}", " ".join(str(int(v)) for v in dec.yhat)]
+    want += [" ".join(str(int(v)) for v in row) for row in dec.xhat]
+    want.append(" ".join(repr(float(v)) for v in dec.ybar))
+    want += [" ".join(repr(float(v)) for v in row) for row in dec.xbar]
+    return "\n".join(want) + "\n"
+
+
+def test_dump_is_the_decomposition_on_the_report_solve_returns(tmp_path, monkeypatch, capsys):
+    # a wrapper of cli.solve_reduce that rebuilds the report with dataclasses.replace,
+    # as the benchmark's tampering stubs do, still hands the decomposition through
+    inst = random_instance(32, sites=6, clients=8, demand_min=1, demand_max=4)
+    path = tmp_path / "r.ftfp"
+    path.write_text(serialize_instance(inst))
+    seen = []
+
+    def rewritten(inst, sub):
+        sol, report = pipeline.solve_reduce(inst, sub)
+        seen.append(report)
+        return sol, dataclasses.replace(report, cost_total=12.5)
+
+    monkeypatch.setattr(cli, "solve_reduce", rewritten)
+    dump, rep = tmp_path / "dec.txt", tmp_path / "rep.json"
+    rc = main([
+        "solve", "--in", str(path), "--ftfl", "greedy",
+        "--report", str(rep), "--dump-decomposition", str(dump),
+    ])
+    assert rc == 0
+    assert "cost_total=12.5 " in capsys.readouterr().out  # the rewritten report is the one used
+    (report,) = seen
+    assert report.decomposition is not None
+    assert dump.read_text() == decomposition_file(inst, report.decomposition)
+    data = json.loads(rep.read_text())
+    assert "decomposition" not in data and data["cost_total"] == 12.5
+
+
+def test_oracle_report_carries_no_decomposition(inst_file, tmp_path, monkeypatch):
+    seen = []
+
+    def recorded(inst):
+        sol, report = pipeline.solve_oracle(inst)
+        seen.append(report)
+        return sol, report
+
+    monkeypatch.setattr(cli, "solve_oracle", recorded)
+    rep = tmp_path / "rep.json"
+    assert main(["solve", "--in", inst_file, "--algo", "oracle", "--report", str(rep)]) == 0
+    assert seen[0].decomposition is None
+    assert "decomposition" not in json.loads(rep.read_text())
 
 
 def test_solve_failed_certificate_exits_one(inst_file, monkeypatch, capsys):
@@ -276,6 +336,18 @@ def test_bench_zero_trials_writes_header_only(tmp_path):
     ])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 1
+
+
+def test_bench_rejects_negative_trials(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    rc = main([
+        "bench", "--sites", "2", "--clients", "2", "--seed", "0",
+        "--trials", "-5", "--csv", str(out),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials must be >= 0" in captured.err
+    assert not out.exists()
 
 
 def test_bench_is_deterministic_apart_from_timing(tmp_path):

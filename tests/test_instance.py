@@ -251,4 +251,10 @@ def test_generate_rejects_bad_params():
         GenParams(sites=1, clients=1, demand_min=3, demand_max=1, seed=0)
     with pytest.raises(ValueError):
         GenParams(sites=1, clients=1, demand_min=1, demand_max=1, seed=0, cost_min=2.0, cost_max=1.0)
+    # non-finite bounds would otherwise reach rng.uniform, which raises OverflowError
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="finite"):
+        GenParams(sites=1, clients=1, demand_min=1, demand_max=1, seed=0, cost_max=inf)
+    with pytest.raises(ValueError, match="finite"):
+        GenParams(sites=1, clients=1, demand_min=1, demand_max=1, seed=0, cost_min=nan, cost_max=nan)
 

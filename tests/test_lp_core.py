@@ -11,7 +11,6 @@ from oracles import lp_oracle, reference_simplex_min
 from ftfp import lp_core
 from ftfp.instance import GenParams, Instance, generate, validate
 from ftfp.lp_core import (
-    DualityReport,
     DualSolution,
     LpInfeasibleError,
     SimplexError,
@@ -157,8 +156,9 @@ def test_fixture_a_capped_lp(instance_a):
     assert dual.gamma is not None and dual.gamma.shape == (2,)
     # the caps bind, so at least one cap multiplier must be active
     assert dual.gamma.max() > 0.0
-    rep = check_duality(primal, dual, instance_a, caps)
-    assert rep.ok, rep.messages
+    assert check_duality(primal, dual, instance_a, caps) == []
+    # the dual's objective is the certificate's value r.alpha - caps.gamma
+    assert dual.objective == float(instance_a.demands @ dual.alpha) - float(caps @ dual.gamma)
 
 
 def test_infeasible_caps_raise(instance_a):
@@ -172,17 +172,15 @@ def test_refuted_certificate_raises(caps, instance_a, monkeypatch):
 
     def refuted(primal, dual, inst, checked_caps=None):
         seen.append((inst, checked_caps))
-        return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
+        return ["duality gap too wide"]
 
     monkeypatch.setattr(lp_core, "check_duality", refuted)
-    counters: dict = {}
     lp = build_lp(instance_a, caps)
     with pytest.raises(SimplexError, match="'fixture-a' failed its duality check: duality gap too wide"):
-        solve_lp(lp, counters)
-    # the certificate is checked on the LP's own instance and caps, and no gap is recorded
+        solve_lp(lp)
+    # the certificate is checked on the LP's own instance and caps
     [(inst, checked_caps)] = seen
     assert inst is instance_a and checked_caps is lp.caps
-    assert "duality_gap" not in counters
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +195,7 @@ def test_lp_matches_reference_solver(seed):
     primal, dual = solve_lp(build_lp(inst))
     want = lp_oracle(inst)
     assert close(primal.objective, want), (primal.objective, want)
-    rep = check_duality(primal, dual, inst)
-    assert rep.ok, rep.messages
+    assert check_duality(primal, dual, inst) == []
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -211,8 +208,7 @@ def test_capped_lp_matches_reference_solver(seed):
     primal, dual = solve_lp(build_lp(inst, caps))
     want = lp_oracle(inst, caps)
     assert close(primal.objective, want)
-    rep = check_duality(primal, dual, inst, caps)
-    assert rep.ok, rep.messages
+    assert check_duality(primal, dual, inst, caps) == []
     # tightening can only raise the optimum
     base, _ = solve_lp(build_lp(inst))
     assert primal.objective >= base.objective - 1e-9 * (1.0 + base.objective)
@@ -248,25 +244,24 @@ def test_lp_zero_demand_costs_nothing():
 
 def test_solve_lp_is_deterministic():
     inst = random_instance(99, sites=5, clients=5, demand_min=1, demand_max=4)
-    ca: dict = {}
-    cb: dict = {}
-    a, _ = solve_lp(build_lp(inst), ca)
-    b, _ = solve_lp(build_lp(inst), cb)
+    a, _ = solve_lp(build_lp(inst))
+    b, _ = solve_lp(build_lp(inst))
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
     assert a.objective == b.objective
-    assert ca == cb
+    assert a.counters == b.counters
 
 
 def test_solve_lp_counters(instance_b):
-    counters: dict = {}
     lp = build_lp(instance_b)
-    primal, _ = solve_lp(lp, counters)
+    primal, dual = solve_lp(lp)
+    counters = primal.counters
     n, m = instance_b.n, instance_b.m
     assert list(counters) == ["rows", "cols", "pivots", "degenerate_pivots", "bland_pivots", "duality_gap"]
     assert counters["rows"] == n + m
     assert counters["cols"] == m + int(lp.pairs.sum()) == m + 2  # each client keeps only its own site
     assert 0.0 <= counters["duality_gap"] <= 1e-6 * (1.0 + primal.objective)
+    assert counters["duality_gap"] == abs(primal.objective - dual.objective)
     assert counters["pivots"] >= 1  # the slack basis v = 0 is not optimal when demand is positive
     assert counters["degenerate_pivots"] <= counters["pivots"]
     assert counters["bland_pivots"] <= counters["pivots"]
@@ -315,8 +310,7 @@ def test_degenerate_lp_matches_reference_solver(seed):
     primal, dual = solve_lp(build_lp(inst))
     want = lp_oracle(inst)
     assert close(primal.objective, want), (primal.objective, want)
-    rep = check_duality(primal, dual, inst)
-    assert rep.ok, rep.messages
+    assert check_duality(primal, dual, inst) == []
 
 
 def test_degenerate_family_drives_the_bland_fallback(monkeypatch):
@@ -326,22 +320,19 @@ def test_degenerate_family_drives_the_bland_fallback(monkeypatch):
     fallback = 0
     for seed in DEGENERATE_SEEDS:
         inst = degenerate_instance(seed)
-        counters: dict = {}
-        primal, dual = solve_lp(build_lp(inst), counters)
-        if counters["bland_pivots"] > 0:
+        primal, dual = solve_lp(build_lp(inst))
+        if primal.counters["bland_pivots"] > 0:
             fallback += 1
             assert close(primal.objective, lp_oracle(inst)), seed
-            assert check_duality(primal, dual, inst).ok, seed
+            assert check_duality(primal, dual, inst) == [], seed
     assert fallback >= 1
 
 
 def test_dantzig_pricing_cuts_pivots(monkeypatch):
     inst = random_instance(7, sites=10, clients=15, demand_min=1, demand_max=5)
-    dantzig: dict = {}
-    solve_lp(build_lp(inst), dantzig)
+    dantzig = solve_lp(build_lp(inst))[0].counters
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 0)
-    bland: dict = {}
-    solve_lp(build_lp(inst), bland)
+    bland = solve_lp(build_lp(inst))[0].counters
 
     assert 2 * dantzig["pivots"] < bland["pivots"], (dantzig, bland)
 
@@ -351,13 +342,12 @@ def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
     inst = degenerate_instance(seed)
     dantzig, _ = solve_lp(build_lp(inst))
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", 0)
-    counters: dict = {}
-    primal, dual = solve_lp(build_lp(inst), counters)
+    primal, dual = solve_lp(build_lp(inst))
     # every pivot is priced by Bland's rule
-    assert counters["bland_pivots"] == counters["pivots"]
+    assert primal.counters["bland_pivots"] == primal.counters["pivots"]
     assert close(primal.objective, dantzig.objective)
     assert close(primal.objective, lp_oracle(inst))
-    assert check_duality(primal, dual, inst).ok
+    assert check_duality(primal, dual, inst) == []
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +410,7 @@ def assert_pruned_lp_is_exact(inst: Instance) -> np.ndarray:
     assert mask.any(axis=0).all()  # every client keeps a site
     primal, dual = solve_lp(build_lp(inst))
     assert not primal.x[~mask].any() and not dual.beta[~mask].any()
-    rep = check_duality(primal, dual, inst)
-    assert rep.ok, rep.messages
+    assert check_duality(primal, dual, inst) == []
     full = solve_lp(full_lp(inst))[0].objective
     assert close(primal.objective, full), (primal.objective, full)
     want = lp_oracle(inst)
@@ -492,17 +481,15 @@ def test_connections_fill_y_in_scan_order(seed):
 def test_check_duality_rejects_undercoverage(instance_a):
     primal, dual = solve_lp(build_lp(instance_a))
     broken = type(primal)(x=primal.x * 0.25, y=primal.y, objective=primal.objective)
-    rep = check_duality(broken, dual, instance_a)
-    assert not rep.ok
-    assert any(msg.startswith("coverage:") for msg in rep.messages)
+    bad = check_duality(broken, dual, instance_a)
+    assert any(msg.startswith("coverage:") for msg in bad)
 
 
 def test_check_duality_rejects_linking_violation(instance_b):
     primal, dual = solve_lp(build_lp(instance_b))
     broken = type(primal)(x=primal.x + 0.5, y=primal.y, objective=primal.objective)
-    rep = check_duality(broken, dual, instance_b)
-    assert not rep.ok
-    assert any("linking" in msg for msg in rep.messages)
+    bad = check_duality(broken, dual, instance_b)
+    assert any("linking" in msg for msg in bad)
 
 
 def test_check_duality_rejects_inflated_dual(instance_a):
@@ -513,24 +500,21 @@ def test_check_duality_rejects_inflated_dual(instance_a):
         objective=float((dual.alpha + 1.0) @ instance_a.demands),
         gamma=None,
     )
-    rep = check_duality(primal, inflated, instance_a)
-    assert not rep.ok
+    assert check_duality(primal, inflated, instance_a)
 
 
 def test_check_duality_rejects_wrong_objective_field(instance_a):
     primal, dual = solve_lp(build_lp(instance_a))
     lying = type(primal)(x=primal.x, y=primal.y, objective=primal.objective + 5.0)
-    rep = check_duality(lying, dual, instance_a)
-    assert not rep.ok
-    assert any("objective field" in msg for msg in rep.messages)
+    bad = check_duality(lying, dual, instance_a)
+    assert any("objective field" in msg for msg in bad)
 
 
 def test_check_duality_reports_negative_dual(instance_a):
     primal, dual = solve_lp(build_lp(instance_a))
     neg = DualSolution(alpha=dual.alpha - 10.0, beta=dual.beta, objective=dual.objective)
-    rep = check_duality(primal, neg, instance_a)
-    assert not rep.ok
-    assert any(msg.startswith("dual_nonneg:") for msg in rep.messages)
+    bad = check_duality(primal, neg, instance_a)
+    assert any(msg.startswith("dual_nonneg:") for msg in bad)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from ftfp.ftfl_solvers import (
 )
 from ftfp.instance import GenParams, Instance, ParseError, generate
 from ftfp.lp_core import (
-    DualityReport,
     FractionalSolution,
     build_lp,
     candidate_pairs,
@@ -40,7 +39,6 @@ from ftfp.pipeline import (
     solve_large,
     solve_oracle,
     solve_reduce,
-    solve_trace,
     split_counts,
     trim_surplus,
     verify_solution,
@@ -221,15 +219,14 @@ def test_residual_lp_is_built_over_live_clients(algo):
     seen = 0
     for seed in range(21000, 21100):
         inst = cover_instance(seed)
-        with solve_trace() as trace:
-            _, rep = (solve_reduce if algo == "reduce" else solve_large)(inst, subroutine("greedy"))
-        live = int((trace.decomposition.rbar > 0).sum())
+        _, rep = (solve_reduce if algo == "reduce" else solve_large)(inst, subroutine("greedy"))
+        live = int((rep.decomposition.rbar > 0).sum())
         if live == 0:
             assert "residual_lp" not in rep.counters
             continue
         shape = rep.counters["residual_lp"]
         # the residual keeps the geometry, so its pair mask is the live columns of the full one
-        kept = int(candidate_pairs(inst)[:, trace.decomposition.rbar > 0].sum())
+        kept = int(candidate_pairs(inst)[:, rep.decomposition.rbar > 0].sum())
         assert (shape["rows"], shape["cols"]) == (inst.n + live, live + kept)
         seen += live < inst.m
     assert seen >= 1  # some residual really dropped a client
@@ -243,12 +240,11 @@ def every_flow(inst: Instance) -> list:
         (solve_large, "greedy"), (solve_large, "exact"), (solve_oracle, None),
     ]:
         try:
-            with solve_trace() as trace:
-                sol, rep = solve(inst) if kind is None else solve(inst, subroutine(kind))
+            sol, rep = solve(inst) if kind is None else solve(inst, subroutine(kind))
         except BudgetExceededError as exc:
             out.append(str(exc))
             continue
-        dec = trace.decomposition
+        dec = rep.decomposition
         parts = () if dec is None else tuple(
             getattr(dec, name).tobytes() for name in ("xhat", "yhat", "xbar", "ybar", "rbar")
         )
@@ -282,26 +278,20 @@ def test_greedy_flows_are_pinned_on_the_15x20_pool():
     for seed in range(7, 39):
         inst = random_instance(seed, 15, 20, demand_min=1, demand_max=5)
         for solve in (solve_reduce, solve_large):
-            with solve_trace() as trace:
-                sol, _ = solve(inst, subroutine("greedy"))
-            dec = trace.decomposition
+            sol, rep = solve(inst, subroutine("greedy"))
+            dec = rep.decomposition
             for a in (sol.y, sol.x, dec.yhat, dec.xhat, dec.rbar):
                 lines.append(" ".join(str(v) for v in a.ravel().tolist()) + "\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == GREEDY_FLOWS_DIGEST
 
 
-def test_trace_holds_the_decomposition_behind_the_plan():
+def test_report_holds_the_decomposition_behind_the_plan():
     inst = random_instance(22000, sites=5, clients=6, demand_min=1, demand_max=4)
-    with solve_trace() as trace:
-        _, rep = solve_reduce(inst, subroutine("greedy"))
+    _, rep = solve_reduce(inst, subroutine("greedy"))
     again = decompose_reduce(trim_to_demand(solve_lp(build_lp(inst))[0], inst), inst)
     for name in ("xhat", "yhat", "xbar", "ybar", "rbar"):
-        assert getattr(trace.decomposition, name).tobytes() == getattr(again, name).tobytes()
+        assert getattr(rep.decomposition, name).tobytes() == getattr(again, name).tobytes()
     assert rep.cost_s1 == float(inst.site_costs @ again.yhat + (inst.dist * again.xhat).sum())
-    # outside the block nothing is recorded
-    kept = trace.decomposition
-    solve_reduce(random_instance(22001, sites=5, clients=6), subroutine("greedy"))
-    assert trace.decomposition is kept
 
 
 def test_report_counters_certify_every_lp(instance_a):
@@ -330,11 +320,10 @@ def certified_alpha(inst: Instance) -> np.ndarray:
 def test_report_counters_carry_the_solver_counters():
     inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
     alpha = certified_alpha(inst)
-    with solve_trace() as trace:
-        _, rep = solve_reduce(inst, subroutine("exact"))
-    res = residual_instance(trace.decomposition, inst)
+    _, rep = solve_reduce(inst, subroutine("exact"))
+    res = residual_instance(rep.decomposition, inst)
     # the residual search gets the main LP's duals: they stay dual-feasible for any demands
-    search = solve_exact(to_capped(res, split_counts(trace.decomposition), alpha))
+    search = solve_exact(to_capped(res, split_counts(rep.decomposition), alpha))
     assert rep.counters["subroutine"] == search.counters
     assert set(search.counters) == {"nodes", "pruned_bound", "pruned_infeasible"}
     assert search.counters["nodes"] >= 1
@@ -376,7 +365,7 @@ def test_lp_pivot_total_is_pinned():
 @pytest.mark.parametrize("solve", [solve_reduce, solve_large, solve_oracle])
 def test_failed_certificate_raises(solve, instance_b, monkeypatch):
     def refuted(*args, **kwargs):
-        return DualityReport(ok=False, gap=1.0, messages=["duality gap too wide"])
+        return ["duality gap too wide"]
 
     monkeypatch.setattr(lp_core, "check_duality", refuted)
     with pytest.raises(RuntimeError, match="duality check"):
@@ -398,6 +387,11 @@ def test_trim_surplus_drops_most_expensive(instance_a):
     assert np.array_equal(slim.x, [[2], [0]])
     assert np.array_equal(slim.y, [2, 1])  # openings are never trimmed
     assert slim.cost == 3.0 * 2 + 10.0 + 1.0 * 2
+    assert slim.counters == {}
+    # the solver's counters survive the trim
+    counted = trim_surplus(dataclasses.replace(fat, counters={"nodes": 7, "pruned_bound": 2}), instance_a)
+    assert np.array_equal(counted.x, slim.x) and counted.cost == slim.cost
+    assert counted.counters == {"nodes": 7, "pruned_bound": 2}
 
 
 def test_trim_surplus_no_change_returns_same_object(instance_a):
@@ -483,6 +477,7 @@ def test_report_json_round_trip(instance_a):
     _, rep = solve_reduce(instance_a)
     back = parse_report(report_to_json(rep))
     assert back == rep
+    assert back.decomposition is None and rep.decomposition is not None  # compared by neither
 
 
 def test_report_field_names_are_stable(instance_a):
@@ -502,7 +497,8 @@ def test_report_field_names_are_stable(instance_a):
         "wall_times",
         "counters",
     ]
-    assert [f.name for f in dataclasses.fields(SolveReport)] == list(data.keys())
+    # every field but the decomposition, which stays in memory
+    assert [f.name for f in dataclasses.fields(SolveReport)] == [*data, "decomposition"]
 
 
 # ---------------------------------------------------------------------------
