@@ -13,9 +13,14 @@ Both solvers exploit the same structural fact: once the opening vector
 y is fixed, the best connection plan decomposes per client, and for one
 client it takes y's facilities in scan order (instance.scan_fill).
 
-solve_exact   Depth-first branch and bound over opening vectors, sites
-              in index order, y_i from 0 upward.  A node is tested in
-              three steps, cheapest first:
+solve_exact   Depth-first branch and bound over opening vectors.  It
+              branches on the dearest sites first (descending f_i,
+              lower index on ties), y_i from 0 upward; the order
+              depends on f alone, so searches with and without
+              multipliers branch alike.  A node is tested in three
+              steps, cheapest first; steps 2 and 3 prune only when
+              their bound exceeds the incumbent cost by more than
+              PRUNE_MARGIN relative (the cutoff):
               1. Cover.  Any client may use any site, so the subtree
                  can serve everyone iff the decided openings plus the
                  undecided caps sum to at least max_j r_j; a running
@@ -26,11 +31,12 @@ solve_exact   Depth-first branch and bound over opening vectors, sites
                  fixed y each x_ij in [0, y_i] then costs at least
                  y_i min(0, d_ij - alpha_j), so with
                  rho_i = f_i + sum_j min(0, d_ij - alpha_j) a node whose
-                 sites < depth are fixed to v_i is bounded below by
-                 L = sum_j r_j alpha_j + sum_{i<depth} v_i rho_i
-                     + sum_{i>=depth} min(0, cap_i rho_i),
-                 the last sum a suffix array built once per call and
-                 the rest carried down the walk, so the test is O(1).
+                 decided sites D are fixed to v_i is bounded below by
+                 L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
+                     + sum_{i not in D} min(0, cap_i rho_i),
+                 the last sum a suffix array over the branching order
+                 built once per call and the rest carried down the
+                 walk, so the test is O(1).
                  L is valid for every alpha >= 0.  With the coverage
                  duals of a certified LP, dual feasibility gives
                  rho_i >= 0 up to rounding, so L at the root is about
@@ -41,37 +47,37 @@ solve_exact   Depth-first branch and bound over opening vectors, sites
                  opening cost of the decided sites in the same float
                  operations as step 3, and a node it prunes step 3
                  would prune too, so callers without duals get the
-                 same counters.  L is not summed in the leaf arithmetic,
-                 so it prunes only when it exceeds the incumbent cost
-                 by LAGRANGIAN_MARGIN relative: every leaf below then
+                 same counters.  Every leaf below a node it prunes
                  costs more than the incumbent, is never accepted, and
                  the sequence of incumbents, hence the plan returned,
                  is the one without this step; the nodes visited are a
                  subset.
-              3. Opening cost of the decided sites plus the optimal
-                 connection cost when every undecided site is opened to
-                 its cap; capacities only shrink deeper in the tree, so
-                 the bound is valid.  Costs accumulate in the same order
-                 as at the leaves, so in floats a bound can exceed a leaf
-                 below it only by rounding at a near-tie of distances.
-                 It walks one row per client with demand, built once per
+              3. Opening cost of the decided sites, summed in branching
+                 order, plus the optimal connection cost when every
+                 undecided site is opened to its cap; capacities only
+                 shrink deeper in the tree, so the bound is valid.  It
+                 walks one row per client with demand, built once per
                  call: r_j and its (site, distance) pairs in scan order
                  as python ints and floats, so no node indexes a numpy
                  array.
-              The search starts from the greedy plan (computed only
-              after the space and cap checks pass): its value in the
-              leaf arithmetic, opening costs summed in site order plus
-              the step-3 cost at capvec = y, is the first incumbent
-              cost, with no incumbent vector.  Pruning is strictly
-              greater-than and a leaf is accepted when it is strictly
-              cheaper or when none has been accepted yet.  The first
-              minimum leaf in depth-first order is never pruned
-              (neither its ancestors' bounds nor the minimum exceed the
-              incumbent cost) and is always accepted (no earlier leaf
-              ties it), so the plan returned has the lexicographically
-              smallest y, as with no incumbent.  Should such rounding
-              prune every leaf that matches the greedy value, the
-              greedy plan is returned.
+              A leaf's cost is its opening costs summed in index order
+              plus its step-3 connection cost, so it does not depend on
+              the branching order.  The greedy plan (computed only
+              after the space and cap checks pass), valued the same
+              way, is the first incumbent.  A leaf replaces the
+              incumbent when it is strictly cheaper, or when it costs
+              the same and its y is lexicographically smaller in index
+              order, so the plan returned has the lexicographically
+              smallest y among the cheapest leaves, the one that
+              enumerate_optimum returns on exact ties.  The bounds of a
+              leaf's ancestors sum in other orders than its cost and
+              can exceed it by rounding, a few ulps; strict pruning
+              against the incumbent cost would then cut off a leaf that
+              ties the incumbent and is lexicographically smaller.  The
+              margin is far wider than that rounding, so every leaf at
+              or below the incumbent cost is reached; the nodes it lets
+              through whose leaves cost more are visited and none of
+              those leaves is accepted.
 
 solve_greedy  Ratio greedy.  Each round either opens one more facility
               at some site together with a best prefix of undersupplied
@@ -108,8 +114,8 @@ from .instance import Instance, scan_fill, scan_order, solution_cost
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
-# relative margin by which the Lagrangian bound must exceed the incumbent to prune
-LAGRANGIAN_MARGIN = 1e-9
+# relative margin by which a node's lower bound must exceed the incumbent to prune it
+PRUNE_MARGIN = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -222,12 +228,13 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     f = [float(v) for v in inst.site_costs]
     caps_list = [int(c) for c in caps]
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
-    # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites >= k add
+    perm = sorted(range(n), key=lambda i: (-f[i], i))  # branching order: dearest site first
+    # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites perm[k:] add
     rho = (inst.site_costs + np.minimum(inst.dist - ci.alpha, 0.0).sum(axis=1)).tolist()
     lag_root = float(inst.demands @ ci.alpha)
     suffix = [0.0] * (n + 1)
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] + min(0.0, caps_list[i] * rho[i])
+    for k in reversed(range(n)):
+        suffix[k] = suffix[k + 1] + min(0.0, caps_list[perm[k]] * rho[perm[k]])
 
     def relaxed_connection_cost(capvec: list[int]) -> float:
         """Connection cost with capvec facilities open; capvec must cover every demand."""
@@ -243,20 +250,21 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
                         break
         return total
 
-    # the greedy plan's value in the leaf arithmetic of the walk below
-    incumbent = [int(v) for v in solve_greedy(ci).y]
-    best_cost = 0.0
-    for fi, v in zip(f, incumbent):
-        best_cost = best_cost + fi * v
-    best_cost = best_cost + relaxed_connection_cost(incumbent)
-    cutoff = best_cost + LAGRANGIAN_MARGIN * (1.0 + abs(best_cost))
-    best_y: list[int] | None = None
+    def opening_cost_in_index_order(y: list[int]) -> float:
+        total = 0.0
+        for fi, v in zip(f, y):
+            total = total + fi * v
+        return total
+
+    # the greedy plan is the first incumbent, valued in the leaf arithmetic of the walk below
+    best_y = [int(v) for v in solve_greedy(ci).y]
+    best_cost = opening_cost_in_index_order(best_y) + relaxed_connection_cost(best_y)
+    cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
     nodes = pruned_bound = pruned_infeasible = 0
-    capvec = caps_list.copy()
-    y = [0] * n
+    capvec = caps_list.copy()  # decided sites at their opening, undecided ones at their cap
 
     def walk(depth: int, opening_cost: float, lag: float, room: int, conn: float | None):
-        """Visit the node with sites < depth fixed; conn is relaxed_connection_cost(capvec)
+        """Visit the node with sites perm[:depth] decided; conn is relaxed_connection_cost(capvec)
         when the parent already has it (the last child keeps the parent's capvec), else None."""
         nonlocal best_cost, cutoff, best_y, nodes, pruned_bound, pruned_infeasible
         nodes += 1
@@ -270,28 +278,23 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             return
         if conn is None:
             conn = relaxed_connection_cost(capvec)
-        bound = opening_cost + conn
-        if bound > best_cost:
+        if opening_cost + conn > cutoff:
             pruned_bound += 1
             return
-        if depth == n:
-            if bound < best_cost or best_y is None:
-                best_cost = bound
-                cutoff = best_cost + LAGRANGIAN_MARGIN * (1.0 + abs(best_cost))
-                best_y = y.copy()
+        if depth == n:  # capvec is the leaf's opening vector
+            cost = opening_cost_in_index_order(capvec) + conn
+            if cost < best_cost or (cost == best_cost and capvec < best_y):
+                best_cost = cost
+                cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
+                best_y = capvec.copy()
             return
-        cap = caps_list[depth]
+        i = perm[depth]
+        cap, fi, ri = caps_list[i], f[i], rho[i]
         for v in range(cap + 1):
-            y[depth] = v
-            capvec[depth] = v
-            walk(depth + 1, opening_cost + f[depth] * v, lag + rho[depth] * v, room - cap + v,
-                 conn if v == cap else None)
-        y[depth] = 0
-        capvec[depth] = cap
+            capvec[i] = v
+            walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v, conn if v == cap else None)
 
     walk(0, 0.0, lag_root, sum(caps_list), None)
-    if best_y is None:  # float rounding pruned every leaf that ties the greedy value
-        best_y = incumbent
     yv = np.array(best_y, dtype=np.int64)
     x = _assign(yv, inst, ci.scan_order)
     counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}

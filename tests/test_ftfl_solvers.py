@@ -11,6 +11,7 @@ from conftest import random_instance
 from oracles import enumerate_optimum, matching_assignment_cost
 
 from ftfp import ftfl_solvers
+from ftfp.decompose import decompose_reduce, residual_instance
 from ftfp.ftfl_solvers import (
     DEFAULT_NODE_BUDGET,
     NODE_BUDGET_ENV,
@@ -24,7 +25,8 @@ from ftfp.ftfl_solvers import (
     to_capped,
 )
 from ftfp.instance import GenParams, Instance, generate, scan_order, solution_cost
-from ftfp.lp_core import build_lp, solve_lp
+from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
+from ftfp.pipeline import split_counts
 
 
 def caps_for(inst: Instance, k: int | None = None) -> np.ndarray:
@@ -142,6 +144,30 @@ def test_exact_prefers_lexicographically_smallest_optimum():
     sol = solve_exact(to_capped(inst, np.array([1, 1])))
     assert np.array_equal(sol.y, [0, 1])
     assert sol.cost == 2.0
+
+
+def test_exact_breaks_ties_in_index_order_not_in_branching_order():
+    # (1, 0) and (0, 1) both cost exactly 3.0; the dearer site 1 is branched on
+    # first, so the search meets (1, 0) first, yet (0, 1) is the smaller vector
+    inst = Instance(np.array([1.0, 2.0]), np.array([1]), np.array([[2.0], [1.0]]))
+    ci = to_capped(inst, np.array([1, 1]))
+    sol = solve_exact(ci)
+    want_cost, want_y = enumerate_optimum(ci)
+    assert sol.cost == want_cost == 3.0
+    assert np.array_equal(sol.y, want_y) and np.array_equal(sol.y, [0, 1])
+
+
+def test_exact_reaches_a_leaf_that_its_ancestor_bound_exceeds_by_rounding():
+    # three identical free sites; at the node y_0 = 0 the step-3 bound opens
+    # site 1 to its cap and connects 2 * 0.3 + 2 * 0.1 = 0.8, one ulp above the
+    # leaf (0, 1, 1) below it, 0.3 + 0.3 + 0.1 + 0.1 = 0.7999999999999999;
+    # pruning strictly against the incumbent would lose that leaf
+    inst = Instance(np.zeros(3), np.array([2, 2]), np.array([[0.3, 0.1]] * 3))
+    ci = to_capped(inst, np.array([1, 2, 1]))
+    sol = solve_exact(ci)
+    assert np.array_equal(sol.y, [0, 1, 1])
+    assert sol.cost == 0.7999999999999999
+    assert np.array_equal(sol.y, enumerate_optimum(ci)[1])
 
 
 def test_exact_infeasible_caps(instance_a):
@@ -281,6 +307,27 @@ def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
     # with duals visits a subset of the dual-free search's nodes
     for free, dual in oracle_pool_plans:
         assert dual.counters["nodes"] <= free.counters["nodes"]
+
+
+# y_digest of solve_exact on the reduce-mode residuals of the benchmark's 15x20
+# pool (seeds 7-70, demands 1-5), with the main LP's certified duals and the
+# static gate lifted, recorded while the search branched on sites in index
+# order (1120302 nodes); RESIDUAL_POOL_NODES is the node total since it
+# branches on the dearest sites first.
+RESIDUAL_POOL_Y_DIGEST = "19e29c54b14b861d67f14d1ed200689f4af14e1b4270cfd84a93592ffa38ede3"
+RESIDUAL_POOL_NODES = 70767
+
+
+def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(monkeypatch):
+    monkeypatch.setenv(NODE_BUDGET_ENV, "100000000000")  # past the static gate
+    plans = []
+    for seed in range(7, 71):
+        inst = generate(GenParams(15, 20, 1, 5, seed))
+        frac, dual = solve_lp(build_lp(inst))
+        dec = decompose_reduce(trim_to_demand(frac, inst), inst)
+        plans.append(solve_exact(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha)))
+    assert y_digest(plans) == RESIDUAL_POOL_Y_DIGEST
+    assert sum(plan.counters["nodes"] for plan in plans) == RESIDUAL_POOL_NODES
 
 
 # ---------------------------------------------------------------------------

@@ -339,9 +339,10 @@ def test_report_counters_carry_the_solver_counters():
 
 # Total counters["nodes"] of solve_oracle over the first 48 instances of the
 # benchmark's oracle-6x12 pool (seeds 7-54), recorded when the exact search
-# gained its Lagrangian bound from the certified LP duals (146005 without it).
-# A change that weakens the bound, or stops handing the duals over, raises it.
-ORACLE_POOL_NODES = 51023
+# began branching on the dearest sites first (51023 in site index order,
+# 146005 in index order without the Lagrangian bound).  A change that weakens
+# a bound, stops handing the duals over or changes the site order moves it.
+ORACLE_POOL_NODES = 12851
 
 
 def test_oracle_node_total_is_pinned():
