@@ -27,7 +27,7 @@ import numpy as np
 # bound: benchmark/spans.py times the layers by swapping these module names.
 from .decompose import decompose_reduce  # noqa: F401
 from .ftfl_solvers import BudgetExceededError, IntegralSolution, subroutine
-from .instance import GenParams, Instance, ParseError, format_records, generate, parse_instance
+from .instance import GenParams, Instance, format_records, generate, parse_instance
 from .instance import serialize_instance, solution_cost, validate
 from .lp_core import build_lp, solve_lp, trim_to_demand  # noqa: F401
 from .pipeline import (
@@ -249,13 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -11,7 +11,8 @@ for that equivalence.
 
 Both solvers exploit the same structural fact: once the opening vector
 y is fixed, the best connection plan decomposes per client, and for one
-client it takes y's facilities in scan order (instance.scan_fill).
+client it takes y's facilities in scan order (instance.scan_fill over
+Instance.scan_order).
 
 solve_exact   Depth-first branch and bound over opening vectors.  It
               branches on the dearest sites first (descending f_i,
@@ -105,12 +106,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .instance import Instance, scan_fill, scan_order, solution_cost
+from .instance import Instance, as_counts, scan_fill, solution_cost
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -135,21 +135,16 @@ class CappedInstance:
     alpha: np.ndarray | None = None  # (m,) coverage multipliers for solve_exact's bound; None stores zeros
 
     def __post_init__(self):
-        caps = np.asarray(self.caps, dtype=np.int64)
-        if caps.shape != (self.base.n,) or np.any(caps < 0):
-            raise ValueError("caps must be a nonnegative integer vector of length n")
-        caps.setflags(write=False)
-        object.__setattr__(self, "caps", caps)
+        caps = np.asarray(self.caps)
+        if caps.shape != (self.base.n,):
+            raise ValueError("caps must be a vector of length n")
+        caps = as_counts(caps, "caps")
         alpha = np.array(self.alpha if self.alpha is not None else np.zeros(self.base.m), dtype=np.float64)
         if alpha.shape != (self.base.m,) or not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
             raise ValueError("alpha must be a finite nonnegative vector of length m")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-
-    @cached_property
-    def scan_order(self) -> np.ndarray:
-        """scan_order(base), sorted on first use: solve_exact and its greedy incumbent share it."""
-        return scan_order(self.base)
+        for attr, a in (("caps", caps), ("alpha", alpha)):
+            a.setflags(write=False)
+            object.__setattr__(self, attr, a)
 
 
 def to_capped(inst: Instance, copies: np.ndarray, alpha: np.ndarray | None = None) -> CappedInstance:
@@ -184,10 +179,10 @@ def node_budget() -> int:
     return budget
 
 
-def _assign(y: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
+def _assign(y: np.ndarray, inst: Instance) -> np.ndarray:
     """scan_fill of y's facilities; raises InfeasibleError when a client stays short."""
     y = np.asarray(y, dtype=np.int64)
-    x = scan_fill(np.broadcast_to(y[:, None], (inst.n, inst.m)), inst, order)
+    x = scan_fill(np.broadcast_to(y[:, None], (inst.n, inst.m)), inst)
     short = np.nonzero(x.sum(axis=0) < inst.demands)[0]
     if short.size:
         j = int(short[0])
@@ -222,7 +217,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
     rows = [
         (r, [(i, d[i]) for i in order])
-        for r, order, d in zip(inst.demands.tolist(), ci.scan_order.T.tolist(), inst.dist.T.tolist())
+        for r, order, d in zip(inst.demands.tolist(), inst.scan_order.T.tolist(), inst.dist.T.tolist())
         if r > 0
     ]
     f = [float(v) for v in inst.site_costs]
@@ -296,7 +291,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
 
     walk(0, 0.0, lag_root, sum(caps_list), None)
     yv = np.array(best_y, dtype=np.int64)
-    x = _assign(yv, inst, ci.scan_order)
+    x = _assign(yv, inst)
     counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
 
@@ -361,7 +356,7 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
                 a[i][j] += 1
                 served[j] += 1
     yv = np.array(y, dtype=np.int64)
-    x = _assign(yv, inst, ci.scan_order)
+    x = _assign(yv, inst)
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters={"rounds": rounds})
 
 

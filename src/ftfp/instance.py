@@ -10,7 +10,8 @@ metric condition
     d_ij <= d_il + d_kl + d_kj   for all sites i, k and clients j, l,
 
 which is what the triangle inequality looks like when only site-client
-distances exist.
+distances exist.  The Instance constructor checks the values (f and d
+finite and >= 0, r integers >= 0); validate checks the metric condition.
 
 Instances travel as plain text, one logical line per record, with `#`
 starting a comment that runs to end of line and blank lines ignored:
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -46,9 +47,28 @@ class ParseError(ValueError):
     """Malformed instance or solution text; message names the line."""
 
 
+def _require_range(what: str, values: np.ndarray, end: float, need: str) -> None:
+    """Raise ValueError naming what and its first entry outside [0, end) (NaN is outside)."""
+    if not 0 <= values.min() <= values.max() < end:
+        at = np.unravel_index(np.argmax(~((values >= 0) & (values < end))), values.shape)
+        raise ValueError(f"{what}[{','.join(map(str, at))}] = {values[at]} violates {need}")
+
+
+def as_counts(values: np.ndarray, what: str) -> np.ndarray:
+    """A new int64 copy of a nonempty array; ValueError unless every entry is an integer in [0, 2^63)."""
+    if values.dtype.kind != "i" and not np.array_equal(np.rint(values), values):
+        raise ValueError(f"{what} must be integers")
+    _require_range(what, values, 2**63, f"0 <= {what} < 2^63")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Instance:
-    """Immutable FTFP instance: costs, demands, and a distance table."""
+    """Immutable FTFP instance: costs, demands, and a distance table.
+
+    The constructor raises ValueError, naming the field and its first bad
+    entry, unless f and d are finite and >= 0 and r are integers in [0, 2^63).
+    """
 
     site_costs: np.ndarray  # (n,) float
     demands: np.ndarray  # (m,) int
@@ -59,21 +79,16 @@ class Instance:
         f = np.asarray(self.site_costs, dtype=float)
         d = np.asarray(self.dist, dtype=float)
         r = np.asarray(self.demands)
-        if r.dtype.kind not in "iu":
-            rounded = np.rint(r)
-            if not np.array_equal(rounded, r):
-                raise ValueError("demands must be integers")
-            r = rounded
-        r = r.astype(np.int64)
         if f.ndim != 1 or r.ndim != 1 or d.shape != (f.size, r.size):
             raise ValueError("shape mismatch: need f (n,), r (m,), d (n, m)")
         if f.size < 1 or r.size < 1:
             raise ValueError("need at least one site and one client")
-        for a in (f, r, d):
+        _require_range("site_costs", f, math.inf, "f_i finite and >= 0")
+        _require_range("dist", d, math.inf, "d_ij finite and >= 0")
+        r = as_counts(r, "demands")
+        for attr, a in (("site_costs", f), ("demands", r), ("dist", d)):
             a.setflags(write=False)
-        object.__setattr__(self, "site_costs", f)
-        object.__setattr__(self, "demands", r)
-        object.__setattr__(self, "dist", d)
+            object.__setattr__(self, attr, a)
 
     @property
     def n(self) -> int:
@@ -91,27 +106,29 @@ class Instance:
     def min_demand(self) -> int:
         return int(self.demands.min())
 
+    @cached_property
+    def scan_order(self) -> np.ndarray:
+        """(n, m) read-only site indices; column j lists the sites by ascending d_ij, lowest index on ties.
 
-def scan_order(inst: Instance) -> np.ndarray:
-    """(n, m) site indices; column j lists the sites by ascending d_ij, lowest index on ties.
-
-    Every per-client fill (scan_fill, and through it the LP's connections,
-    the integral assignments and both surplus trims; the exact solver's
-    bound) takes the sites in this order.
-    """
-    return np.argsort(inst.dist, axis=0, kind="stable")
+        Sorted once; every per-client fill (scan_fill: the LP's connections, the integral
+        assignments, both surplus trims) and the exact solver's bound take the sites in this order.
+        """
+        order = np.argsort(self.dist, axis=0, kind="stable")
+        order.setflags(write=False)
+        return order
 
 
-def scan_fill(offer: np.ndarray, inst: Instance, order: np.ndarray) -> np.ndarray:
-    """(n, m) fill x_ij = min(offer_ij, max(0, r_j - what the sites before i in order offer j)).
+def scan_fill(offer: np.ndarray, inst: Instance) -> np.ndarray:
+    """(n, m) fill x_ij = min(offer_ij, max(0, r_j - what the sites before i in inst.scan_order offer j)).
 
-    With order = scan_order(inst) it is client j's cheapest way to take r_j
-    units from offer_ij per site: a plan that skips a nearer unit can move
-    one unit onto it at no loss.  x has offer's dtype, float or integer.
+    It is client j's cheapest way to take r_j units from offer_ij per
+    site: a plan that skips a nearer unit can move one unit onto it at no
+    loss.  x has offer's dtype, float or integer.
     A nonnegative column that offers at most r_j in all comes back as it
     is (for floats, up to the rounding of the running sum), and so does a
     negative offer, which a verifier then still sees.
     """
+    order = inst.scan_order
     ordered = np.take_along_axis(offer, order, axis=0)
     before = np.zeros_like(ordered)  # what the sites earlier in scan order offer
     np.cumsum(ordered[:-1], axis=0, out=before[1:])
@@ -186,8 +203,8 @@ def _ints(ln: int, toks, what: str) -> list[int]:
             out.append(int(t))
         except ValueError:
             raise ParseError(f"line {ln}: {what} must be an integer, got {t!r}") from None
-        if out[-1] < 0:
-            raise ParseError(f"line {ln}: {what} must be >= 0, got {t}")
+        if not 0 <= out[-1] < 2**63:
+            raise ParseError(f"line {ln}: {what} must be >= 0 and below 2^63 (int64), got {t}")
     return out
 
 
@@ -251,27 +268,15 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def validate(inst: Instance) -> list[str]:
-    """Check all instance invariants; returns one message per violation.
+    """Check the bipartite metric condition; returns one message per violation.
 
-    The bipartite metric check is O(n^2 m^2) time in O(m^2) memory: the
-    tightest right-hand side min_{k,l} (d_il + d_kl + d_kj) is built from
-    two min-reductions, each taken over blocks of sites, and offending
-    entries are reported with the witnessing (i, j, k, l).
+    The constructor has already checked the values.  The check is
+    O(n^2 m^2) time in O(m^2) memory: the tightest right-hand side
+    min_{k,l} (d_il + d_kl + d_kj) is built from two min-reductions, each
+    taken over blocks of sites, and offending entries are reported with
+    the witnessing (i, j, k, l).
     """
     bad = []
-    for i, v in enumerate(inst.site_costs.tolist()):
-        if not math.isfinite(v) or v < 0:
-            bad.append(f"site cost f[{i}] = {v} violates f_i >= 0")
-    for j, v in enumerate(inst.demands.tolist()):
-        if v < 0:
-            bad.append(f"demand r[{j}] = {v} violates r_j >= 0")
-    if not np.all(np.isfinite(inst.dist)):
-        bad.append("distance table contains non-finite entries")
-        return bad
-    for i, j in zip(*np.nonzero(inst.dist < 0)):
-        bad.append(f"distance d[{i},{j}] = {inst.dist[i, j]} violates d_ij >= 0")
-    if bad:
-        return bad
     d = inst.dist
     # through[l, j] = min_k (d_kl + d_kj); bound[i, j] = min_l (d_il + through[l, j]);
     # both reductions run over blocks of sites, so no temporary exceeds

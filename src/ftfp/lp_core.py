@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, scan_fill, scan_order, solution_cost
+from .instance import Instance, scan_fill, solution_cost
 
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
@@ -206,11 +206,10 @@ def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
 def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Simplex for min c.v, A v >= b, v >= 0 with b <= 0, from the slack basis (pricing as above).
 
+    build_lp's b = -(f, 1) is <= 0, as Instance keeps f >= 0.
     Returns (v, duals, counters) where duals are the multipliers of the
     >= rows and counters the work done (see solve_lp).
     """
-    if np.any(b > 0):
-        raise ValueError("the slack basis is feasible only for b <= 0")
     nrows, nv = A.shape
     ncols = nv + nrows
     # rows -A v + s = -b, s >= 0 the slacks, which start basic at s = -b >= 0
@@ -291,7 +290,7 @@ def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, DualSolution]:
     y = np.maximum(duals[:n], 0.0)
     site, client = np.nonzero(lp.pairs)
     k = site.size
-    x = scan_fill(np.where(lp.pairs, y[:, None], 0.0), inst, scan_order(inst))
+    x = scan_fill(np.where(lp.pairs, y[:, None], 0.0), inst)
     lam, mu = v[:m], v[m : m + k]
     of_client = client[:, None] == np.arange(m)  # (k, m) one-hot of each cut's client
     alpha = lam + (mu * inst.dist[site, client]) @ of_client
@@ -385,5 +384,5 @@ def trim_to_demand(sol: FractionalSolution, inst: Instance) -> FractionalSolutio
     if short.size:
         j = int(short[0])
         raise ValueError(f"client {j} is undercovered: {float(have[j])} < {float(inst.demands[j])}")
-    x = scan_fill(x, inst, scan_order(inst))
+    x = scan_fill(x, inst)
     return FractionalSolution(x=x, y=np.array(sol.y, dtype=float), objective=solution_cost(inst, sol.y, x))

@@ -20,11 +20,14 @@ solve_oracle  Exact optimum by branch and bound with caps max_j r_j
 
 Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
-from files.  Every LP (the relaxation, and the residual LP behind
-rho_sub) is built by lp_core.build_lp, which drops the pairs no LP
-optimum can use, and solved by lp_core.solve_lp, which certifies its
-value on the full instance and raises SimplexError (a RuntimeError)
-when the certificate fails.
+from files.  No flow over-covers a client, so the surplus trim before
+the verifier returns its input: s1 serves rhat, s2 and solve_exact's
+plan are scan fills of their demands, and rhat + rbar = r.  Every LP
+(the relaxation, and the residual LP behind rho_sub) is built by
+lp_core.build_lp, which drops the pairs no LP optimum can use, and
+solved by lp_core.solve_lp, which certifies its value on the full
+instance and raises SimplexError (a RuntimeError) when the certificate
+fails.
 
 Every exact search gets the certified coverage duals alpha of the main
 LP relaxation (CappedInstance.alpha), which its Lagrangian bound prunes
@@ -53,7 +56,7 @@ import numpy as np
 
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
-from .instance import Instance, format_records, read_records, scan_fill, scan_order, solution_cost
+from .instance import Instance, format_records, read_records, scan_fill, solution_cost
 from .lp_core import build_lp, solve_lp, trim_to_demand
 
 COST_REL_TOL = 1e-6
@@ -110,7 +113,7 @@ def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
     """
     if not np.any(sol.x.sum(axis=0) > inst.demands):
         return sol
-    x = scan_fill(sol.x, inst, scan_order(inst))
+    x = scan_fill(sol.x, inst)
     return replace(sol, x=x, cost=solution_cost(inst, sol.y, x))
 
 

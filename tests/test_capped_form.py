@@ -33,6 +33,11 @@ def test_capped_instance_validates_caps(instance_a):
         CappedInstance(base=instance_a, caps=np.array([1]))
     with pytest.raises(ValueError, match="caps"):
         CappedInstance(base=instance_a, caps=np.array([-1, 1]))
+    # caps are cast to int64 only when every entry is an integer, as demands are
+    for caps in ([1.5, 2.9], [-0.5, 1.0], [1e30, 1.0]):
+        with pytest.raises(ValueError, match="caps"):
+            CappedInstance(base=instance_a, caps=np.array(caps))
+    assert CappedInstance(base=instance_a, caps=np.array([2.0, 0.0])).caps.tolist() == [2, 0]
 
 
 def test_to_capped(instance_b):

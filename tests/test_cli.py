@@ -266,6 +266,13 @@ def test_solve_large_rejects_zero_demand(tmp_path):
     assert main(["solve", "--in", str(path), "--algo", "large"]) == 2
 
 
+def test_solve_demand_beyond_int64_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.ftfp"
+    path.write_text(f"ftfp 1\n1 1\n1.0\n{10**30}\n1.0\n")
+    assert main(["solve", "--in", str(path)]) == 2
+    assert "line 4: demand must be >= 0 and below 2^63" in capsys.readouterr().err
+
+
 def test_solve_budget_exhaustion_exit_code(inst_file, monkeypatch):
     monkeypatch.setenv(NODE_BUDGET_ENV, "2")
     rc = main(["solve", "--in", inst_file, "--algo", "oracle"])
@@ -303,6 +310,13 @@ def test_verify_malformed_solution_is_usage_error(inst_file, tmp_path):
     sol = tmp_path / "c.sol"
     sol.write_text("ftfp-sol 1\n2 1\nnope\n1\n1\n")
     assert main(["verify", "--in", inst_file, "--sol", str(sol)]) == 2
+
+
+def test_verify_count_beyond_int64_is_usage_error(inst_file, tmp_path, capsys):
+    sol = tmp_path / "d.sol"
+    sol.write_text(f"ftfp-sol 1\n2 1\n{10**23} 0\n2\n0\n")
+    assert main(["verify", "--in", inst_file, "--sol", str(sol)]) == 2
+    assert "line 3: opening count must be >= 0 and below 2^63" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

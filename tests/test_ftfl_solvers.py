@@ -24,7 +24,7 @@ from ftfp.ftfl_solvers import (
     subroutine,
     to_capped,
 )
-from ftfp.instance import GenParams, Instance, generate, scan_order, solution_cost
+from ftfp.instance import GenParams, Instance, generate, solution_cost
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import split_counts
 
@@ -36,7 +36,7 @@ def caps_for(inst: Instance, k: int | None = None) -> np.ndarray:
 
 def assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
     """The solvers' fill of y's facilities and its connection cost."""
-    x = ftfl_solvers._assign(y, inst, scan_order(inst))
+    x = ftfl_solvers._assign(y, inst)
     return x, solution_cost(inst, np.zeros(inst.n), x)
 
 

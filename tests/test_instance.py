@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -139,20 +141,33 @@ def test_validate_accepts_generated_instances():
         assert validate(random_instance(seed, sites=4, clients=4)) == []
 
 
-def test_validate_reports_negative_cost_and_demand():
-    inst = Instance(np.array([-1.0]), np.array([2]), np.array([[1.0]]))
-    msgs = validate(inst)
-    assert any("f[0]" in s for s in msgs)
-    # demands are int64 and >= 0 is not enforced at construction either
-    inst2 = Instance(np.array([1.0]), np.array([-2]), np.array([[1.0]]))
-    assert any("r[0]" in s for s in msgs + validate(inst2))
+def test_constructor_rejects_negative_cost_and_demand():
+    for f, r, entry in [
+        ([-1.0], [2], "site_costs[0] = -1.0"),
+        ([1.0, np.inf], [2], "site_costs[1] = inf"),
+        ([1.0], [-2], "demands[0] = -2"),
+        ([1.0], [-2.0], "demands[0] = -2"),
+        ([1.0], [1e30], "demands[0] = 1e+30"),  # the int64 cast would wrap it to -2^63
+    ]:
+        d = np.ones((len(f), len(r)))
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            Instance(np.array(f), np.array(r), d)
 
 
-def test_validate_reports_negative_and_nonfinite_distance():
-    inst = Instance(np.array([1.0, 1.0]), np.array([1]), np.array([[-0.5], [1.0]]))
-    assert any("d[0,0]" in s for s in validate(inst))
-    inst2 = Instance(np.array([1.0]), np.array([1]), np.array([[np.inf]]))
-    assert validate(inst2) == ["distance table contains non-finite entries"]
+def test_constructor_rejects_negative_and_nonfinite_distance():
+    for bad, entry in [(-0.5, "dist[1,0] = -0.5"), (np.inf, "dist[1,0] = inf"), (np.nan, "dist[1,0] = nan")]:
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            Instance(np.array([1.0, 1.0]), np.array([1, 1]), np.array([[1.0, 1.0], [bad, -1.0]]))
+
+
+def test_scan_order_is_the_read_only_stable_argsort():
+    d = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5], [2.0, 0.0, 0.5], [1.0, 3.0, 0.5]])  # ties in every column
+    inst = Instance(np.ones(4), np.ones(3), d)
+    order = inst.scan_order
+    assert order.tobytes() == np.argsort(inst.dist, axis=0, kind="stable").tobytes()
+    assert order.dtype == np.intp and inst.scan_order is order  # sorted once
+    with pytest.raises(ValueError):
+        order[0, 0] = 1
 
 
 def test_validate_flags_metric_violation_with_witness():

@@ -404,6 +404,34 @@ def test_trim_surplus_no_change_returns_same_object(instance_a):
     assert trim_surplus(exact_fit, instance_a) is exact_fit
 
 
+def test_no_flow_over_covers_a_client(monkeypatch):
+    # the pipeline docstring's argument, on the benchmark pools: every plan a
+    # flow hands to its re-verification meets each demand exactly
+    trimmed = []
+
+    def recording(sol, inst):
+        out = trim_surplus(sol, inst)
+        trimmed.append(out is not sol)
+        return out
+
+    monkeypatch.setattr(pipeline, "trim_surplus", recording)
+    planned = 0
+    for seed in range(7, 71):
+        inst = generate(GenParams(15, 20, 1, 5, seed))
+        for solve in (solve_reduce, solve_large):
+            for kind in ("greedy", "exact"):
+                try:
+                    solve(inst, subroutine(kind))
+                except BudgetExceededError:
+                    continue
+                planned += 1
+    for seed in range(7, 55):
+        solve_oracle(generate(GenParams(6, 12, 1, 4, seed)))
+        planned += 1
+    assert planned > 64 * 2 + 48
+    assert trimmed == [False] * planned
+
+
 def test_both_trims_keep_the_lowest_site_index_on_equal_distances():
     # client 0: site 0 is dearest and sites 1-3 tie; client 1: all four sites tie
     inst = Instance(np.ones(4), np.array([2, 1]), np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
