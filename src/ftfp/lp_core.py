@@ -329,14 +329,15 @@ def check_duality(
     message led by the family's name reports each family whose worst
     (most negative) slack is below -1e-7.  No message means both points
     are feasible within 1e-7 and the objectives agree within 1e-6
-    relative, which certifies optimality by weak duality.
+    relative, which certifies optimality by weak duality.  Every test
+    passes only on numbers, so a NaN or infinite slack or gap fails it.
     """
     n, m = inst.n, inst.m
     messages: list[str] = []
 
     def family(name: str, slack: np.ndarray, what: str):
         w = float(slack.min()) if slack.size else 0.0
-        if w < -FEAS_TOL:
+        if not w >= -FEAS_TOL:
             idx = np.unravel_index(int(np.argmin(slack)), slack.shape)
             messages.append(f"{name}: {what} violated by {-w:.3e} at {tuple(int(v) for v in idx)}")
 
@@ -353,19 +354,17 @@ def check_duality(
     family("site_budget", inst.site_costs + gamma - dual.beta.sum(axis=1), "sum_j beta_ij - gamma_i <= f_i")
     family("edge", (inst.dist - dual.alpha[None, :] + dual.beta).ravel(), "alpha_j - beta_ij <= d_ij")
 
+    def agree(value: float, other: float) -> bool:
+        return abs(value - other) <= DUAL_GAP_REL_TOL * (1.0 + abs(value))
+
     primal_cost = solution_cost(inst, primal.y, primal.x)
     dual_value = _dual_value(inst, caps, dual.alpha, dual.gamma)
-    if abs(primal_cost - primal.objective) > DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
-        messages.append(
-            f"objective field {primal.objective} disagrees with recomputed cost {primal_cost}"
-        )
-    if abs(dual_value - dual.objective) > DUAL_GAP_REL_TOL * (1.0 + abs(dual_value)):
-        messages.append(
-            f"dual objective field {dual.objective} disagrees with recomputed value {dual_value}"
-        )
-    gap = primal_cost - dual_value
-    if abs(gap) > DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
-        messages.append(f"duality gap {gap:.3e} exceeds tolerance")
+    if not agree(primal_cost, primal.objective):
+        messages.append(f"objective field {primal.objective} disagrees with recomputed cost {primal_cost}")
+    if not agree(dual_value, dual.objective):
+        messages.append(f"dual objective field {dual.objective} disagrees with recomputed value {dual_value}")
+    if not agree(primal_cost, dual_value):
+        messages.append(f"duality gap {primal_cost - dual_value:.3e} exceeds tolerance")
     return messages
 
 

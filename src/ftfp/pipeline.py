@@ -22,22 +22,21 @@ Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
 from files.  No flow over-covers a client, so the surplus trim before
 the verifier returns its input: s1 serves rhat, s2 and solve_exact's
-plan are scan fills of their demands, and rhat + rbar = r.  Every LP
-(the relaxation, and the residual LP behind rho_sub) is built by
-lp_core.build_lp, which drops the pairs no LP optimum can use, and
-solved by lp_core.solve_lp, which certifies its value on the full
+plan are scan fills of their demands, and rhat + rbar = r.  Every LP is
+built by lp_core.build_lp, which drops the pairs no LP optimum can use,
+and solved by lp_core.solve_lp, which certifies its value on the full
 instance and raises SimplexError (a RuntimeError) when the certificate
-fails.
+fails.  A reduce solve runs one LP: the main LP's certified duals price
+the residual (argument in SolveReport), and a residual LP is solved only
+when that certificate is refuted, which large mode can do.
 
 Every exact search gets the certified coverage duals alpha of the main
-LP relaxation (CappedInstance.alpha), which its Lagrangian bound prunes
-with: solve_oracle's search over the whole instance, and in solve_reduce
-and solve_large the residual's search, which runs before the residual
-LP is solved (the greedy subroutine ignores alpha).  Dual feasibility
-does not involve the demands, so the main LP's duals stay feasible for
-the residual's LP, where clients with rbar_j = 0 add nothing to the
-bound.  Any alpha >= 0 gives a valid bound, so the plans are those of
-the dual-free search.
+LP (CappedInstance.alpha), which its Lagrangian bound prunes with:
+solve_oracle's search over the whole instance, and the residual's search
+in solve_reduce and solve_large (the greedy subroutine ignores alpha).
+Dual feasibility does not involve the demands, so alpha stays feasible
+for the residual.  Any alpha >= 0 gives a valid bound, so the plans are
+those of the dual-free search.
 
 Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
 the proven chain bound with its slack, wall times, and LP and solver
@@ -57,7 +56,7 @@ import numpy as np
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
 from .instance import Instance, format_records, read_records, scan_fill, solution_cost
-from .lp_core import build_lp, solve_lp, trim_to_demand
+from .lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
 
 COST_REL_TOL = 1e-6
 _ZERO_COST_TOL = 1e-9
@@ -67,15 +66,22 @@ _ZERO_COST_TOL = 1e-9
 class SolveReport:
     """Cost accounting for one solve; s1 is the integral part, s2 the residual stage.
 
-    lp_star_residual is the uncapped residual LP over the clients with
-    demand left.  It equals the capped one by construction: the residual
-    caps are at least max rbar, and some LP optimum opens at most max
-    rbar at every site (cut each x_ij to r_j, then each y_i to max_j
-    x_ij; neither raises the cost), so the caps never bind.
-    counters maps each LP solved ("lp", "residual_lp") to its shape,
-    pivot counts and certified duality gap (see solve_lp); "subroutine"
-    (a non-empty residual) and "oracle" hold the integral solver's
-    counters (search nodes, greedy rounds; see ftfl_solvers).
+    lp_star_residual is the uncapped residual LP optimum, which the caps
+    never bind: they are at least max rbar, and some LP optimum opens at
+    most max rbar at every site (cut each x_ij to r_j, then each y_i to
+    max_j x_ij; neither raises the cost).  The main LP's duals (alpha,
+    beta) stay feasible for any demands, and complementary slackness
+    makes (xbar, ybar) cost exactly rbar.alpha: xbar_ij > 0 gives d_ij =
+    alpha_j - beta_ij, ybar_i > 0 gives f_i = sum_j beta_ij, beta_ij > 0
+    gives xbar_ij = ybar_i.  So when (xbar, ybar) is feasible for the
+    residual, as a reduce-mode one always is, check_duality certifies
+    rbar.alpha as the optimum; when it refutes it (large mode can strand
+    xbar_ij > ybar_i), the residual LP is solved instead.
+    counters maps each LP solved ("lp", and "residual_lp" only when the
+    residual's certificate was refuted) to its shape, pivot counts and
+    certified duality gap (see solve_lp); "subroutine" (a non-empty
+    residual) and "oracle" hold the integral solver's counters (search
+    nodes, greedy rounds; see ftfl_solvers).
     decomposition is the one solve_reduce and solve_large rounded (None
     from solve_oracle); it is left out of the JSON and of comparisons.
     """
@@ -196,12 +202,6 @@ def _guarded_ratio(num: float, den: float, what: str) -> float:
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 
 
-def _live_clients(inst: Instance) -> Instance:
-    """The clients with demand left; the others add nothing to the LP optimum."""
-    live = np.nonzero(inst.demands > 0)[0]
-    return Instance(inst.site_costs, inst.demands[live], inst.dist[:, live], name=inst.name)
-
-
 def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     counters: dict[str, dict[str, float]] = {}
@@ -221,21 +221,18 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     lp2 = 0.0
     wall["residual_lp"] = wall["subroutine"] = 0.0
     if dec.residual_empty:
-        s2 = IntegralSolution(
-            y=np.zeros(inst.n, dtype=np.int64),
-            x=np.zeros((inst.n, inst.m), dtype=np.int64),
-            cost=0.0,
-        )
+        s2 = IntegralSolution(y=np.zeros_like(dec.yhat), x=np.zeros_like(dec.xhat), cost=0.0)
     else:
         res = residual_instance(dec, inst)
-        # the subroutine runs first, so a refusal (BudgetExceededError) wastes no residual LP
         t = time.perf_counter()
         s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
-        res_lp = solve_lp(build_lp(_live_clients(res)))[0]
-        lp2 = res_lp.objective
-        counters["residual_lp"] = res_lp.counters
+        lp2 = float(dec.rbar @ dual.alpha)  # the residual LP optimum when the certificate holds
+        if check_duality(FractionalSolution(dec.xbar, dec.ybar, lp2), replace(dual, objective=lp2), res):
+            res_lp = solve_lp(build_lp(res))[0]
+            lp2 = res_lp.objective
+            counters["residual_lp"] = res_lp.counters
         wall["residual_lp"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
 

@@ -517,6 +517,17 @@ def test_check_duality_reports_negative_dual(instance_a):
     assert any(msg.startswith("dual_nonneg:") for msg in bad)
 
 
+def test_check_duality_fails_closed_on_non_finite_values(instance_a):
+    primal, dual = solve_lp(build_lp(instance_a))
+    nan_alpha = DualSolution(alpha=dual.alpha * np.nan, beta=dual.beta, objective=dual.objective)
+    assert any(msg.startswith("dual_nonneg:") for msg in check_duality(primal, nan_alpha, instance_a))
+    # abs(nan) > tol is false, so a NaN objective field must fail the comparison itself
+    nan_primal = type(primal)(x=primal.x, y=primal.y, objective=np.nan)
+    assert any(msg.startswith("objective field") for msg in check_duality(nan_primal, dual, instance_a))
+    nan_dual = DualSolution(alpha=dual.alpha, beta=dual.beta, objective=np.nan)
+    assert any(msg.startswith("dual objective field") for msg in check_duality(primal, nan_dual, instance_a))
+
+
 # ---------------------------------------------------------------------------
 # trimming
 
