@@ -63,9 +63,18 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  array.
               A leaf's cost is its opening costs summed in index order
               plus its step-3 connection cost, so it does not depend on
-              the branching order.  The greedy plan (computed only
-              after the space and cap checks pass), valued the same
-              way, is the first incumbent.  A leaf replaces the
+              the branching order.  The first incumbent, valued the
+              same way, is the LP's fractional opening
+              (CappedInstance.opening) rounded up under the caps,
+              min(ceil(y_i - OPENING_TOL), cap_i).  It covers every
+              client when the LP's connections x fit under the caps:
+              sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j.  When it
+              sums to less than max_j r_j (step 1's test), or there is
+              no opening, every site at its cap is the first incumbent
+              instead, which the cap check has proved covers.  The
+              search does not call the greedy solver.  Either incumbent
+              is a leaf of the tree, so it moves the nodes visited and
+              not the plan returned.  A leaf replaces the
               incumbent when it is strictly cheaper, or when it costs
               the same and its y is lexicographically smaller in index
               order, so the plan returned has the lexicographically
@@ -116,6 +125,8 @@ NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
 # relative margin by which a node's lower bound must exceed the incumbent to prune it
 PRUNE_MARGIN = 1e-9
+# an LP opening at most this above an integer rounds down to it for the first incumbent
+OPENING_TOL = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -133,23 +144,34 @@ class CappedInstance:
     base: Instance
     caps: np.ndarray  # (n,) int
     alpha: np.ndarray | None = None  # (m,) coverage multipliers for solve_exact's bound; None stores zeros
+    opening: np.ndarray | None = None  # (n,) fractional LP opening for solve_exact's first incumbent
 
     def __post_init__(self):
         caps = np.asarray(self.caps)
         if caps.shape != (self.base.n,):
             raise ValueError("caps must be a vector of length n")
-        caps = as_counts(caps, "caps")
-        alpha = np.array(self.alpha if self.alpha is not None else np.zeros(self.base.m), dtype=np.float64)
-        if alpha.shape != (self.base.m,) or not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
-            raise ValueError("alpha must be a finite nonnegative vector of length m")
-        for attr, a in (("caps", caps), ("alpha", alpha)):
+        alpha = self.alpha if self.alpha is not None else np.zeros(self.base.m)
+        kept = {"caps": as_counts(caps, "caps"), "alpha": _finite_nonnegative(alpha, self.base.m, "alpha", "m")}
+        if self.opening is not None:
+            kept["opening"] = _finite_nonnegative(self.opening, self.base.n, "opening", "n")
+        for attr, a in kept.items():
             a.setflags(write=False)
             object.__setattr__(self, attr, a)
 
 
-def to_capped(inst: Instance, copies: np.ndarray, alpha: np.ndarray | None = None) -> CappedInstance:
-    """The split instance with `copies` copies per site, in capped form, with optional multipliers."""
-    return CappedInstance(base=inst, caps=copies, alpha=alpha)
+def _finite_nonnegative(values, size: int, what: str, size_name: str) -> np.ndarray:
+    """A new float64 copy of values; ValueError unless it is a finite nonnegative vector of length size."""
+    a = np.array(values, dtype=np.float64)
+    if a.shape != (size,) or not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError(f"{what} must be a finite nonnegative vector of length {size_name}")
+    return a
+
+
+def to_capped(
+    inst: Instance, copies: np.ndarray, alpha: np.ndarray | None = None, opening: np.ndarray | None = None
+) -> CappedInstance:
+    """The split instance with `copies` copies per site, in capped form, with optional multipliers and LP opening."""
+    return CappedInstance(base=inst, caps=copies, alpha=alpha, opening=opening)
 
 
 @dataclass(frozen=True)
@@ -251,8 +273,13 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             total = total + fi * v
         return total
 
-    # the greedy plan is the first incumbent, valued in the leaf arithmetic of the walk below
-    best_y = [int(v) for v in solve_greedy(ci).y]
+    # the first incumbent, valued in the leaf arithmetic of the walk below: the LP opening
+    # rounded up under the caps, or every site at its cap, which _check_caps_cover proved covers
+    best_y = caps_list.copy()
+    if ci.opening is not None:
+        rounded = np.minimum(np.ceil(ci.opening - OPENING_TOL), caps).astype(np.int64).tolist()
+        if sum(rounded) >= need:
+            best_y = rounded
     best_cost = opening_cost_in_index_order(best_y) + relaxed_connection_cost(best_y)
     cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
     nodes = pruned_bound = pruned_infeasible = 0

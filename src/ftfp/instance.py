@@ -11,7 +11,8 @@ metric condition
 
 which is what the triangle inequality looks like when only site-client
 distances exist.  The Instance constructor checks the values (f and d
-finite and >= 0, r integers >= 0); validate checks the metric condition.
+finite and >= 0, r integers >= 0, a finite cost scale); validate checks
+the metric condition.
 
 Instances travel as plain text, one logical line per record, with `#`
 starting a comment that runs to end of line and blank lines ignored:
@@ -39,6 +40,9 @@ from typing import Callable
 import numpy as np
 
 METRIC_TOL = 1e-9
+# the largest plain upper bound on an instance's optimum (see Instance); the rest of
+# the float range is headroom for the sums the LP, its certificate and the search form
+COST_LIMIT = 1e300
 # entries (8 MB of float64) in one block of the metric check's min-reductions
 _METRIC_BLOCK = 1 << 20
 
@@ -68,6 +72,11 @@ class Instance:
 
     The constructor raises ValueError, naming the field and its first bad
     entry, unless f and d are finite and >= 0 and r are integers in [0, 2^63).
+    It also raises when the plain upper bound on the optimum, opening max_j r_j
+    facilities at every site plus each client's demand at its farthest site,
+    max_j r_j * sum_i f_i + sum_j r_j max_i d_ij, reaches COST_LIMIT, or
+    when a sum in it overflows: such values overflow the LP and its
+    certificate.
     """
 
     site_costs: np.ndarray  # (n,) float
@@ -86,6 +95,13 @@ class Instance:
         _require_range("site_costs", f, math.inf, "f_i finite and >= 0")
         _require_range("dist", d, math.inf, "d_ij finite and >= 0")
         r = as_counts(r, "demands")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf, refused below
+            bound = float(r.max()) * float(f.sum()) + float(r @ d.max(axis=0))
+        if not bound < COST_LIMIT:
+            raise ValueError(
+                f"values too large: the plain cost bound max_j r_j sum_i f_i + sum_j r_j max_i d_ij "
+                f"is {bound:.3g}, not below {COST_LIMIT:.0e}"
+            )
         for attr, a in (("site_costs", f), ("demands", r), ("dist", d)):
             a.setflags(write=False)
             object.__setattr__(self, attr, a)

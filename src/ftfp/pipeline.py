@@ -31,12 +31,15 @@ the residual (argument in SolveReport), and a residual LP is solved only
 when that certificate is refuted, which large mode can do.
 
 Every exact search gets the certified coverage duals alpha of the main
-LP (CappedInstance.alpha), which its Lagrangian bound prunes with:
-solve_oracle's search over the whole instance, and the residual's search
-in solve_reduce and solve_large (the greedy subroutine ignores alpha).
-Dual feasibility does not involve the demands, so alpha stays feasible
-for the residual.  Any alpha >= 0 gives a valid bound, so the plans are
-those of the dual-free search.
+LP (CappedInstance.alpha), which its Lagrangian bound prunes with, and
+an LP opening (CappedInstance.opening), which rounded up is its first
+incumbent: solve_oracle's search over the whole instance gets the LP's
+y, and the residual's search in solve_reduce and solve_large gets the
+residual opening ybar (the greedy subroutine ignores both).  Dual
+feasibility does not involve the demands, so alpha stays feasible for
+the residual.  Any alpha >= 0 gives a valid bound and any incumbent is
+a leaf of the search, so the plans are those of the dual-free search
+from any first incumbent.
 
 Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
 the proven chain bound with its slack, wall times, and LP and solver
@@ -225,7 +228,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     else:
         res = residual_instance(dec, inst)
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha))
+        s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha, dec.ybar))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
         lp2 = float(dec.rbar @ dual.alpha)  # the residual LP optimum when the certificate holds
@@ -271,7 +274,7 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    sol = solve_exact(to_capped(inst, caps, dual.alpha))
+    sol = solve_exact(to_capped(inst, caps, dual.alpha, frac.y))
     wall["oracle"] = time.perf_counter() - t
     counters = {"lp": frac.counters, "oracle": dict(sol.counters)}
     return _report(

@@ -112,16 +112,17 @@ def test_lp_failed_certificate_exits_one_before_any_output(inst_file, tmp_path, 
     assert not dump.exists()
 
 
-@pytest.mark.parametrize("command", [["lp"], ["solve", "--algo", "reduce"]])
-def test_overflowing_values_fail_the_duality_check(command, tmp_path, capsys):
-    # finite distances whose LP value overflows to inf, which no certificate proves
+@pytest.mark.parametrize("costs", ["1 1", "1e308 1"], ids=["dist", "cost"])
+@pytest.mark.parametrize("command", [["lp"], ["solve", "--algo", "reduce"]], ids=["lp", "solve"])
+def test_overflowing_values_are_refused_before_any_lp(command, costs, tmp_path, capsys):
+    # finite values whose LP value would overflow to inf: refused as bad input
+    # when the file is read, with no overflow warning on the way
     path = tmp_path / "huge.ftfp"
-    path.write_text("ftfp 1\n2 2\n1 1\n1 1\n1e308 1e308\n1e308 1e308\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command[0], "--in", str(path), *command[1:]]) == 1
+    path.write_text(f"ftfp 1\n2 2\n{costs}\n1 1\n1e308 1e308\n1e308 1e308\n")
+    assert main([command[0], "--in", str(path), *command[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "LP of 'huge' failed its duality check" in err
+    assert "values too large" in err
 
 
 def test_lp_dump_is_zero_off_candidate_pairs(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from conftest import random_instance
 from oracles import enumerate_optimum, matching_assignment_cost
 
 from ftfp import ftfl_solvers
-from ftfp.decompose import decompose_reduce, residual_instance
+from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
 from ftfp.ftfl_solvers import (
     DEFAULT_NODE_BUDGET,
     NODE_BUDGET_ENV,
+    OPENING_TOL,
     BudgetExceededError,
     CappedInstance,
     InfeasibleError,
@@ -192,6 +194,23 @@ def test_capped_instance_keeps_a_read_only_copy_of_alpha(instance_a):
     assert np.array_equal(to_capped(instance_a, caps_for(instance_a)).alpha, [0.0])
 
 
+@pytest.mark.parametrize(
+    "opening", [np.zeros(3), np.zeros((2, 1)), np.array([0.5, -0.5]), np.array([np.nan, 1.0]), np.array([1.0, np.inf])],
+    ids=["length", "matrix", "negative", "nan", "inf"],
+)
+def test_capped_instance_rejects_bad_opening(instance_a, opening):
+    with pytest.raises(ValueError, match="opening"):
+        to_capped(instance_a, caps_for(instance_a), None, opening)
+
+
+def test_capped_instance_keeps_a_read_only_copy_of_opening(instance_a):
+    opening = np.array([1.5, 0])
+    ci = to_capped(instance_a, caps_for(instance_a), None, opening)
+    assert ci.opening.dtype == np.float64 and not ci.opening.flags.writeable
+    assert opening.flags.writeable  # the caller's array is left alone
+    assert to_capped(instance_a, caps_for(instance_a)).opening is None
+
+
 # ---------------------------------------------------------------------------
 # the exact contract: the lexicographically smallest optimum, whatever the incumbent
 
@@ -261,10 +280,66 @@ def test_exact_answer_does_not_depend_on_the_multipliers(family, seed, scale):
         assert sol.counters == solve_exact(ci).counters
 
 
-def test_exact_refuses_before_the_greedy_incumbent(monkeypatch, instance_a):
-    # a refused call must cost no more than the checks: greedy runs only after them
+@pytest.mark.parametrize("family", ["zero", "grid", "colocated"])
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_answer_does_not_depend_on_the_first_incumbent(family, seed):
+    # every first incumbent is a leaf, so an opening that falls short of the
+    # largest demand (all zeros, unless every demand is 0), a random one and
+    # none at all must all reach the enumeration's answer
+    ci = grid_instance(np.random.default_rng(14000 + seed), family)
+    want_cost, want_y = enumerate_optimum(ci)
+    rng = np.random.default_rng(16000 + seed)
+    for opening in (None, np.zeros(ci.base.n), rng.uniform(0.0, ci.caps.max() + 1.0, ci.base.n)):
+        sol = solve_exact(replace(ci, opening=opening))
+        assert sol.cost == want_cost
+        assert np.array_equal(sol.y, want_y)
+
+
+@pytest.fixture(scope="module")
+def oracle_pool() -> list[CappedInstance]:
+    """The first 48 instances of the benchmark's oracle-6x12 pool (seeds 7-54)
+    as solve_oracle hands them to solve_exact: caps at the largest demand, the
+    main LP's certified duals and its opening."""
+    pool = []
+    for seed in range(7, 55):
+        inst = generate(GenParams(6, 12, 1, 4, seed))
+        frac, dual = solve_lp(build_lp(inst))  # certified by solve_lp
+        pool.append(to_capped(inst, caps_for(inst), dual.alpha, frac.y))
+    return pool
+
+
+@pytest.fixture(scope="module")
+def residual_pools() -> dict[str, list[CappedInstance]]:
+    """The reduce- and large-mode residuals of the benchmark's 15x20 pool (seeds
+    7-70, demands 1-5) as the pipeline hands them to its subroutine: split
+    counts as caps, the main LP's certified duals and the residual opening."""
+    pools = {"reduce": [], "large": []}
+    for seed in range(7, 71):
+        inst = generate(GenParams(15, 20, 1, 5, seed))
+        frac, dual = solve_lp(build_lp(inst))
+        frac = trim_to_demand(frac, inst)
+        for mode, decompose in (("reduce", decompose_reduce), ("large", decompose_large)):
+            dec = decompose(frac, inst)
+            pools[mode].append(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha, dec.ybar))
+    return pools
+
+
+def test_rounded_lp_opening_covers_every_client(oracle_pool, residual_pools):
+    # sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j, so solve_exact's first
+    # incumbent never falls back to the caps on the pipeline's instances
+    pools = {"oracle": oracle_pool, **residual_pools}
+    for what, pool in pools.items():
+        nonempty = [ci for ci in pool if ci.base.max_demand > 0]
+        assert nonempty, what
+        for ci in nonempty:
+            y = np.minimum(np.ceil(ci.opening - OPENING_TOL), ci.caps).astype(np.int64)
+            assert int(y.sum()) >= ci.base.max_demand
+            ftfl_solvers._assign(y, ci.base)  # raises InfeasibleError on a client left short
+
+
+def test_exact_never_calls_greedy(monkeypatch, instance_a, oracle_pool, residual_pools):
     def no_greedy(ci):
-        raise AssertionError("greedy called before the checks passed")
+        raise AssertionError("solve_exact called solve_greedy")
 
     monkeypatch.setattr(ftfl_solvers, "solve_greedy", no_greedy)
     monkeypatch.setenv(NODE_BUDGET_ENV, "8")
@@ -272,6 +347,10 @@ def test_exact_refuses_before_the_greedy_incumbent(monkeypatch, instance_a):
         solve_exact(to_capped(instance_a, np.array([2, 2])))
     with pytest.raises(InfeasibleError, match="caps sum"):
         solve_exact(to_capped(instance_a, np.array([1, 0])))
+    monkeypatch.setenv(NODE_BUDGET_ENV, "100000000000")  # past the static gate
+    for ci in [*oracle_pool, *residual_pools["reduce"]]:
+        solve_exact(ci)
+        solve_exact(replace(ci, opening=None))
 
 
 # y_digest of solve_exact over the first 48 instances of the benchmark's
@@ -281,15 +360,9 @@ ORACLE_POOL_Y_DIGEST = "bf455e04c4fb34e5791019578f5469bc1daeb0fa640f55a95ce72c56
 
 
 @pytest.fixture(scope="module")
-def oracle_pool_plans():
-    """(dual-free, certified-dual) solve_exact plans on the first 48 oracle-6x12 instances."""
-    plans = []
-    for seed in range(7, 55):
-        inst = generate(GenParams(6, 12, 1, 4, seed))
-        _, dual = solve_lp(build_lp(inst))  # certified by solve_lp
-        free = solve_exact(to_capped(inst, caps_for(inst)))
-        plans.append((free, solve_exact(to_capped(inst, caps_for(inst), dual.alpha))))
-    return plans
+def oracle_pool_plans(oracle_pool):
+    """(dual-free, certified-dual) solve_exact plans on oracle_pool, both from its LP opening."""
+    return [(solve_exact(replace(ci, alpha=None)), solve_exact(ci)) for ci in oracle_pool]
 
 
 def test_exact_plans_are_pinned_on_the_oracle_pool(oracle_pool_plans):
@@ -303,8 +376,9 @@ def test_certified_duals_keep_the_oracle_pool_plans(oracle_pool_plans):
 
 
 def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
-    # a pruned subtree holds no leaf the incumbent would accept, so the search
-    # with duals visits a subset of the dual-free search's nodes
+    # both searches start from the same incumbent, and a pruned subtree holds no
+    # leaf the incumbent would accept, so the search with duals visits a subset
+    # of the dual-free search's nodes
     for free, dual in oracle_pool_plans:
         assert dual.counters["nodes"] <= free.counters["nodes"]
 
@@ -312,20 +386,16 @@ def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
 # y_digest of solve_exact on the reduce-mode residuals of the benchmark's 15x20
 # pool (seeds 7-70, demands 1-5), with the main LP's certified duals and the
 # static gate lifted, recorded while the search branched on sites in index
-# order (1120302 nodes); RESIDUAL_POOL_NODES is the node total since it
-# branches on the dearest sites first.
+# order (1120302 nodes).  RESIDUAL_POOL_NODES is the node total since it starts
+# from the residual opening rounded up (70767 from the greedy plan, branching
+# on the dearest sites first as now).
 RESIDUAL_POOL_Y_DIGEST = "19e29c54b14b861d67f14d1ed200689f4af14e1b4270cfd84a93592ffa38ede3"
-RESIDUAL_POOL_NODES = 70767
+RESIDUAL_POOL_NODES = 51516
 
 
-def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(monkeypatch):
+def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(monkeypatch, residual_pools):
     monkeypatch.setenv(NODE_BUDGET_ENV, "100000000000")  # past the static gate
-    plans = []
-    for seed in range(7, 71):
-        inst = generate(GenParams(15, 20, 1, 5, seed))
-        frac, dual = solve_lp(build_lp(inst))
-        dec = decompose_reduce(trim_to_demand(frac, inst), inst)
-        plans.append(solve_exact(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha)))
+    plans = [solve_exact(ci) for ci in residual_pools["reduce"]]
     assert y_digest(plans) == RESIDUAL_POOL_Y_DIGEST
     assert sum(plan.counters["nodes"] for plan in plans) == RESIDUAL_POOL_NODES
 

@@ -160,6 +160,21 @@ def test_constructor_rejects_negative_and_nonfinite_distance():
             Instance(np.array([1.0, 1.0]), np.array([1, 1]), np.array([[1.0, 1.0], [bad, -1.0]]))
 
 
+def test_constructor_rejects_values_whose_cost_bound_overflows():
+    # every entry is finite, but max_j r_j sum_i f_i + sum_j r_j max_i d_ij is not below
+    # COST_LIMIT; no overflow warning may escape (pytest turns it into an error)
+    for f, r, d in [
+        ([1.0, 1.0], [1, 1], [[1e308, 1e308], [1e308, 1e308]]),
+        ([1e308, 1.0], [1, 1], [[1.0, 1.0], [1.0, 1.0]]),
+        ([1e299] * 20, [1], [[0.0]] * 20),  # the sum of f, not any one f, is too large
+        ([0.0], [2**62], [[1e290]]),  # r_j d_ij
+    ]:
+        with pytest.raises(ValueError, match="values too large"):
+            Instance(np.array(f), np.array(r), np.array(d))
+    inst = Instance(np.array([1e299]), np.array([1]), np.array([[1e299]]))  # 2e299, below the limit
+    assert inst.site_costs[0] == 1e299
+
+
 def test_scan_order_is_the_read_only_stable_argsort():
     d = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5], [2.0, 0.0, 0.5], [1.0, 3.0, 0.5]])  # ties in every column
     inst = Instance(np.ones(4), np.ones(3), d)

@@ -359,18 +359,14 @@ def test_report_counters_certify_every_lp(instance_a):
     assert set(oracle.counters) == {"lp", "oracle"}
 
 
-def certified_alpha(inst: Instance) -> np.ndarray:
-    """The main LP's coverage duals, certified by solve_lp as in the pipeline."""
-    return solve_lp(build_lp(inst))[1].alpha
-
-
 def test_report_counters_carry_the_solver_counters():
     inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
-    alpha = certified_alpha(inst)
+    frac, dual = solve_lp(build_lp(inst))  # certified by solve_lp, as in the pipeline
     _, rep = solve_reduce(inst, subroutine("exact"))
-    res = residual_instance(rep.decomposition, inst)
-    # the residual search gets the main LP's duals: they stay dual-feasible for any demands
-    search = solve_exact(to_capped(res, split_counts(rep.decomposition), alpha))
+    dec = rep.decomposition
+    # the residual search gets the main LP's duals, which stay dual-feasible for any
+    # demands, and the residual opening ybar for its first incumbent
+    search = solve_exact(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha, dec.ybar))
     assert rep.counters["subroutine"] == search.counters
     assert set(search.counters) == {"nodes", "pruned_bound", "pruned_infeasible"}
     assert search.counters["nodes"] >= 1
@@ -379,17 +375,18 @@ def test_report_counters_carry_the_solver_counters():
     assert rep.counters["subroutine"]["rounds"] >= 1
     _, rep = solve_oracle(inst)
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps, alpha)).counters
+    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps, dual.alpha, frac.y)).counters
     # the counters are plain ints, so the report round-trips through JSON
     assert parse_report(report_to_json(rep)).counters == rep.counters
 
 
 # Total counters["nodes"] of solve_oracle over the first 48 instances of the
 # benchmark's oracle-6x12 pool (seeds 7-54), recorded when the exact search
-# began branching on the dearest sites first (51023 in site index order,
-# 146005 in index order without the Lagrangian bound).  A change that weakens
-# a bound, stops handing the duals over or changes the site order moves it.
-ORACLE_POOL_NODES = 12851
+# began from the LP's rounded-up opening (12851 from the greedy plan, 51023
+# also in site index order, 146005 also without the Lagrangian bound).  A
+# change that weakens a bound, stops handing the duals or the opening over,
+# or changes the site order moves it.
+ORACLE_POOL_NODES = 10697
 
 
 def test_oracle_node_total_is_pinned():
