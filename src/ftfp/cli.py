@@ -9,8 +9,9 @@ command is non-interactive and exits with a stable code:
        certificate
     2  bad usage: unknown flags, unreadable or malformed files, invalid
        parameter combinations, invalid instances
-    3  the exact solver's node budget was exceeded (FTFP_NODE_BUDGET,
-       default 10^7)
+    3  the work does not fit: the exact search visited more nodes than
+       its budget (FTFP_NODE_BUDGET, default 10^7) or recursed deeper
+       than Python allows, or the process ran out of memory
 
 Summary lines are key=value pairs on stdout; diagnostics go to stderr.
 """
@@ -18,6 +19,7 @@ Summary lines are key=value pairs on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -191,7 +193,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each subcommand binds its cmd_* handler here."""
     parser = argparse.ArgumentParser(
         prog="ftfp",
         description="Fault-tolerant facility placement: generate, relax, round, verify, benchmark.",
@@ -249,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

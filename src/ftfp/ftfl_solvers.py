@@ -104,10 +104,11 @@ the nodes visited ("nodes"), those cut by step 2 or 3 ("pruned_bound")
 and those cut by step 1 ("pruned_infeasible");
 solve_greedy its rounds, one move each ("rounds").
 
-The exact search is budgeted: it refuses instances whose opening-vector
-space prod_i (caps_i + 1) exceeds the node budget (FTFP_NODE_BUDGET in
-the environment, default 10^7) and counts visited nodes against the
-same budget while running.
+The exact search is budgeted by the work it does, not by the size of its
+space: it counts visited nodes against the node budget (FTFP_NODE_BUDGET
+in the environment, default 10^7) and raises BudgetExceededError when the
+count overruns it.  The walk recurses once per site, so a search deeper
+than Python's recursion limit is refused the same way.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class InfeasibleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The exact search space or node count exceeds the configured budget."""
+    """The exact search visited more nodes than the budget, or recursed deeper than Python allows."""
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,6 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     inst, caps = ci.base, ci.caps
     n = inst.n
     budget = node_budget()
-    space = math.prod(int(c) + 1 for c in caps)
-    if space > budget:
-        raise BudgetExceededError(
-            f"opening-vector space {space} exceeds node budget {budget}"
-        )
     _check_caps_cover(ci)
     # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
     rows = [
@@ -316,7 +312,10 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             capvec[i] = v
             walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v, conn if v == cap else None)
 
-    walk(0, 0.0, lag_root, sum(caps_list), None)
+    try:
+        walk(0, 0.0, lag_root, sum(caps_list), None)
+    except RecursionError:
+        raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
     yv = np.array(best_y, dtype=np.int64)
     x = _assign(yv, inst)
     counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}

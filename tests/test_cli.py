@@ -292,6 +292,37 @@ def test_solve_budget_exhaustion_exit_code(inst_file, monkeypatch):
     assert rc == 3
 
 
+def test_default_exact_solve_plans_on_the_benchmark_shape(tmp_path, monkeypatch, capsys):
+    # 15x20 with demands 1-5: the residual search visits a few hundred nodes,
+    # far below the default budget, whatever the size of its space
+    monkeypatch.delenv(NODE_BUDGET_ENV, raising=False)
+    path = tmp_path / "s7.ftfp"
+    path.write_text(serialize_instance(random_instance(7, 15, 20, demand_min=1, demand_max=5)))
+    assert main(["solve", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("algo=reduce ")
+
+
+@pytest.mark.parametrize("sites,code", [(400, 0), (1200, 3)])
+def test_a_search_deeper_than_the_recursion_limit_is_refused(sites, code, tmp_path, capsys):
+    # the oracle's search recurses once per site; past Python's recursion
+    # limit it is refused like an overrun node budget, not crashed
+    path = tmp_path / "deep.ftfp"
+    assert main(["gen", "--sites", str(sites), "--clients", "2", "--seed", "7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--in", str(path), "--algo", "oracle"]) == code
+    err = capsys.readouterr().err
+    assert ("recursion limit" in err) == (code == 3)
+
+
+def test_running_out_of_memory_exits_three(inst_file, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_lp", no_memory)
+    assert main(["lp", "--in", inst_file]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -403,6 +434,17 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["dance"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_per_process(inst_file):
+    cli._build_parser.cache_clear()
+    assert main(["lp", "--in", inst_file]) == 0
+    assert main(["lp", "--in", inst_file, "--caps", "uniform:1"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as exc:  # a usage error after a good call
+        main(["lp", "--in", inst_file, "--frobnicate"])
+    assert exc.value.code == 2
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_missing_instance_file_exits_two(tmp_path):

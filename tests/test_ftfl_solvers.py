@@ -342,12 +342,8 @@ def test_exact_never_calls_greedy(monkeypatch, instance_a, oracle_pool, residual
         raise AssertionError("solve_exact called solve_greedy")
 
     monkeypatch.setattr(ftfl_solvers, "solve_greedy", no_greedy)
-    monkeypatch.setenv(NODE_BUDGET_ENV, "8")
-    with pytest.raises(BudgetExceededError, match="space"):
-        solve_exact(to_capped(instance_a, np.array([2, 2])))
     with pytest.raises(InfeasibleError, match="caps sum"):
         solve_exact(to_capped(instance_a, np.array([1, 0])))
-    monkeypatch.setenv(NODE_BUDGET_ENV, "100000000000")  # past the static gate
     for ci in [*oracle_pool, *residual_pools["reduce"]]:
         solve_exact(ci)
         solve_exact(replace(ci, opening=None))
@@ -384,20 +380,31 @@ def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
 
 
 # y_digest of solve_exact on the reduce-mode residuals of the benchmark's 15x20
-# pool (seeds 7-70, demands 1-5), with the main LP's certified duals and the
-# static gate lifted, recorded while the search branched on sites in index
-# order (1120302 nodes).  RESIDUAL_POOL_NODES is the node total since it starts
-# from the residual opening rounded up (70767 from the greedy plan, branching
-# on the dearest sites first as now).
+# pool (seeds 7-70, demands 1-5), with the main LP's certified duals, recorded
+# while the search branched on sites in index order (1120302 nodes).
+# RESIDUAL_POOL_NODES is the node total since it starts from the residual
+# opening rounded up (70767 from the greedy plan, branching on the dearest
+# sites first as now).  The largest search visits 8961 nodes, so the default
+# budget plans every one.
 RESIDUAL_POOL_Y_DIGEST = "19e29c54b14b861d67f14d1ed200689f4af14e1b4270cfd84a93592ffa38ede3"
 RESIDUAL_POOL_NODES = 51516
 
 
-def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(monkeypatch, residual_pools):
-    monkeypatch.setenv(NODE_BUDGET_ENV, "100000000000")  # past the static gate
-    plans = [solve_exact(ci) for ci in residual_pools["reduce"]]
-    assert y_digest(plans) == RESIDUAL_POOL_Y_DIGEST
-    assert sum(plan.counters["nodes"] for plan in plans) == RESIDUAL_POOL_NODES
+@pytest.fixture(scope="module")
+def residual_pool_plans(residual_pools):
+    """solve_exact's plans on the reduce-mode residual pool, under the default node budget."""
+    return [solve_exact(ci) for ci in residual_pools["reduce"]]
+
+
+def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(residual_pool_plans):
+    assert y_digest(residual_pool_plans) == RESIDUAL_POOL_Y_DIGEST
+    assert sum(plan.counters["nodes"] for plan in residual_pool_plans) == RESIDUAL_POOL_NODES
+
+
+def test_every_residual_of_the_pool_plans_no_dearer_than_greedy(residual_pools, residual_pool_plans):
+    assert len(residual_pool_plans) == len(residual_pools["reduce"]) == 64
+    for ci, plan in zip(residual_pools["reduce"], residual_pool_plans):
+        assert plan.cost <= solve_greedy(ci).cost
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +425,9 @@ def test_node_budget_rejects_bad_values(monkeypatch, raw):
         node_budget()
 
 
-def test_exact_static_budget_check(monkeypatch, instance_a):
-    # the opening-vector space (2+1)*(2+1) = 9 exceeds a budget of 8
-    monkeypatch.setenv(NODE_BUDGET_ENV, "8")
-    with pytest.raises(BudgetExceededError, match="space"):
-        solve_exact(to_capped(instance_a, np.array([2, 2])))
-
-
 def test_exact_dynamic_budget_check(monkeypatch):
-    # all-zero costs disable pruning, so the full tree of 15 nodes is walked;
-    # the space (1+1)^3 = 8 passes the static check but the walk overruns
+    # all-zero costs disable pruning, so the full tree of 15 nodes is walked
+    # and a budget of 8 refuses it partway
     monkeypatch.setenv(NODE_BUDGET_ENV, "8")
     inst = Instance(np.zeros(3), np.array([1]), np.zeros((3, 1)))
     with pytest.raises(BudgetExceededError, match="nodes"):

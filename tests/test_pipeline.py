@@ -299,9 +299,9 @@ def every_flow(inst: Instance) -> list:
     return out
 
 
-# 8x10 with demands up to 3 keeps the exact search and the oracle within budget;
-# 15x20 with demands up to 5 is the benchmark's shape, where the reduce-mode
-# exact search and the oracle are refused
+# 8x10 with demands up to 3, and the benchmark's 15x20 shape with demands up to
+# 5; every flow, the exact search and the oracle included, plans on both within
+# the default node budget
 @pytest.mark.parametrize("sites,clients,top", [(8, 10, 3), (15, 20, 5)])
 @pytest.mark.parametrize("seed", range(24000, 24004))
 def test_pair_pruning_changes_no_plan(sites, clients, top, seed, monkeypatch):
