@@ -31,7 +31,7 @@ from .decompose import decompose_reduce  # noqa: F401
 from .ftfl_solvers import BudgetExceededError, IntegralSolution, subroutine
 from .instance import GenParams, Instance, format_records, generate, parse_instance
 from .instance import serialize_instance, solution_cost, validate
-from .lp_core import build_lp, solve_lp, trim_to_demand  # noqa: F401
+from .lp_core import build_lp, dual_terms, solve_lp, trim_to_demand  # noqa: F401
 from .pipeline import (
     SolveReport,
     parse_solution,
@@ -97,12 +97,13 @@ def cmd_gen(args) -> int:
 def cmd_lp(args) -> int:
     inst = _load_instance(getattr(args, "in"))
     caps = _parse_caps(args.caps, inst.n) if args.caps else None
-    primal, dual = solve_lp(build_lp(inst, caps))
+    primal, alpha = solve_lp(build_lp(inst, caps))
     print(f"lp_objective={_fmt(primal.objective)}")
     if args.dump:
-        rows = [primal.y, *primal.x, dual.alpha, *dual.beta]
-        if dual.gamma is not None:
-            rows.append(dual.gamma)
+        beta, gamma = dual_terms(alpha, inst, caps)
+        rows = [primal.y, *primal.x, alpha, *beta]
+        if gamma is not None:
+            rows.append(gamma)
         Path(args.dump).write_text(format_records("ftfp-lpsol 1", inst.n, inst.m, rows))
     return 0
 
@@ -151,44 +152,31 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# the report fields each bench row carries, in CSV column order
+_BENCH_REPORT_COLUMNS = ("lp_star", "cost_total", "rho_sub", "ratio_total", "chain_slack")
+
+
 def cmd_bench(args) -> int:
     import csv
 
-    fields = [
-        "seed", "n", "m", "R", "P", "algo", "ftfl",
-        "lp_star", "cost_total", "rho_sub", "ratio_total", "chain_slack", "wall_ms",
-    ]
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    rows: list[dict] = []
-    for t in range(args.trials):
-        seed = args.seed + t
+    rows, reports = [], []
+    for seed in range(args.seed, args.seed + args.trials):
         inst = generate(_gen_params(args, seed))
         _, report = _solve(inst, args.algo, args.ftfl)
-        rows.append({
-            "seed": seed,
-            "n": inst.n,
-            "m": inst.m,
-            "R": inst.min_demand,
-            "P": inst.max_demand,
-            "algo": report.algo,
-            "ftfl": args.ftfl,
-            "lp_star": _fmt(report.lp_star),
-            "cost_total": _fmt(report.cost_total),
-            "rho_sub": _fmt(report.rho_sub),
-            "ratio_total": _fmt(report.ratio_total),
-            "chain_slack": _fmt(report.chain_slack),
-            "wall_ms": _fmt(report.wall_times["total"] * 1000.0),
-        })
+        reports.append(report)
+        rows.append([
+            seed, inst.n, inst.m, inst.min_demand, inst.max_demand, report.algo, args.ftfl,
+            *(_fmt(getattr(report, name)) for name in _BENCH_REPORT_COLUMNS),
+            _fmt(report.wall_times["total"] * 1000.0),
+        ])
     with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "n", "m", "R", "P", "algo", "ftfl", *_BENCH_REPORT_COLUMNS, "wall_ms"])
         writer.writerows(rows)
-    if rows:
-        worst_ratio = max(float(r["ratio_total"]) for r in rows)
-        min_slack = min(float(r["chain_slack"]) for r in rows)
-    else:
-        worst_ratio = min_slack = float("nan")
+    worst_ratio = max((r.ratio_total for r in reports), default=float("nan"))
+    min_slack = min((r.chain_slack for r in reports), default=float("nan"))
     print(f"trials={args.trials} max_ratio_total={worst_ratio!r} min_chain_slack={min_slack!r}")
     return 0
 
@@ -211,6 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost-min", type=float, default=0.0, help="smallest opening cost")
         p.add_argument("--cost-max", type=float, default=1.0, help="largest opening cost")
 
+    def add_flow_flags(p, ftfl_help=None):
+        """--algo and --ftfl, which solve and bench share."""
+        p.add_argument("--algo", choices=["reduce", "large", "oracle"], default="reduce")
+        p.add_argument("--ftfl", choices=["exact", "greedy"], default="exact", help=ftfl_help)
+
     p = sub.add_parser("gen", help="generate a random instance file")
     add_gen_knobs(p)
     p.add_argument("--out", required=True, help="instance file to write")
@@ -224,9 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="produce a verified integral plan")
     p.add_argument("--in", required=True, help="instance file")
-    p.add_argument("--algo", choices=["reduce", "large", "oracle"], default="reduce")
-    p.add_argument("--ftfl", choices=["exact", "greedy"], default="exact",
-                   help="residual-stage subroutine (ignored by the oracle)")
+    add_flow_flags(p, "residual-stage subroutine (ignored by the oracle)")
     p.add_argument("--out", help="solution file to write")
     p.add_argument("--report", help="JSON report file to write")
     p.add_argument("--dump-decomposition", help="write hat/bar matrices to this file")
@@ -240,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run seeded trials and write a CSV")
     add_gen_knobs(p)
     p.add_argument("--trials", type=int, required=True, help="number of seeded trials")
-    p.add_argument("--algo", choices=["reduce", "large", "oracle"], default="reduce")
-    p.add_argument("--ftfl", choices=["exact", "greedy"], default="exact")
+    add_flow_flags(p)
     p.add_argument("--csv", required=True, help="CSV file to write")
     p.set_defaults(handler=cmd_bench)
 

@@ -88,20 +88,17 @@ def _decompose(sol: FractionalSolution, inst: Instance, mode: Mode) -> Decomposi
     if float(short.max()) > FEAS_TOL:
         j = int(np.argmax(short))
         raise ValueError(f"client {j} undercovered by {float(short[j]):.3e}")
-    xs = snap(np.maximum(sol.x, 0.0))
-    ys = snap(np.maximum(sol.y, 0.0))
+    xs = snap(sol.x)  # an entry in [-FEAS_TOL, 0) snaps to +0.0
+    ys = snap(sol.y)
     overshoot = float((xs - ys[:, None]).max())
     if overshoot > RESIDUAL_TOL:
         i, j = np.unravel_index(int(np.argmax(xs - ys[:, None])), xs.shape)
         raise ValueError(f"snapping broke x <= y at site {i}, client {j}")
     # a few ulps of basis-solve dust may leave x just above y; pin it back
     xs = np.minimum(xs, ys[:, None])
+    yhat = np.floor(ys).astype(np.int64)
     if mode == "reduce":
-        yhat = np.maximum(np.floor(ys).astype(np.int64) - 1, 0)
-    elif mode == "large":
-        yhat = np.floor(ys).astype(np.int64)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        yhat = np.maximum(yhat - 1, 0)
     xhat = np.minimum(np.floor(xs).astype(np.int64), yhat[:, None])
     xbar = xs - xhat
     ybar = ys - yhat

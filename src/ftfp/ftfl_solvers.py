@@ -30,8 +30,10 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  and Nemhauser 1977).  Relax the coverage rows with
                  multipliers alpha_j >= 0 (CappedInstance.alpha).  For
                  fixed y each x_ij in [0, y_i] then costs at least
-                 y_i min(0, d_ij - alpha_j), so with
-                 rho_i = f_i + sum_j min(0, d_ij - alpha_j) a node whose
+                 -y_i max(0, alpha_j - d_ij), so with
+                 rho_i = f_i - sum_j max(0, alpha_j - d_ij), the site
+                 budget slack of the certificate alpha (lp_core's
+                 dual_terms), a node whose
                  decided sites D are fixed to v_i is bounded below by
                  L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
                      + sum_{i not in D} min(0, cap_i rho_i),
@@ -39,12 +41,12 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  built once per call and the rest carried down the
                  walk, so the test is O(1).
                  L is valid for every alpha >= 0.  With the coverage
-                 duals of a certified LP, dual feasibility gives
+                 duals of a certified uncapped LP, the site budget gives
                  rho_i >= 0 up to rounding, so L at the root is about
                  sum_j r_j alpha_j, the LP value when the LP is this
                  instance's.
                  A CappedInstance built without alpha stores zeros:
-                 then rho = f + 0.0 = f bit for bit (f >= 0), L is the
+                 then rho = f - 0.0 = f bit for bit (f >= 0), L is the
                  opening cost of the decided sites in the same float
                  operations as step 3, and a node it prunes step 3
                  would prune too, so callers without duals get the
@@ -120,7 +122,8 @@ from typing import Callable
 
 import numpy as np
 
-from .instance import Instance, as_counts, scan_fill, solution_cost
+from .instance import Instance, as_counts, require_range, scan_fill, solution_cost
+from .lp_core import dual_terms
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -148,23 +151,20 @@ class CappedInstance:
     opening: np.ndarray | None = None  # (n,) fractional LP opening for solve_exact's first incumbent
 
     def __post_init__(self):
-        caps = np.asarray(self.caps)
-        if caps.shape != (self.base.n,):
-            raise ValueError("caps must be a vector of length n")
-        alpha = self.alpha if self.alpha is not None else np.zeros(self.base.m)
-        kept = {"caps": as_counts(caps, "caps"), "alpha": _finite_nonnegative(alpha, self.base.m, "alpha", "m")}
+        n, m = self.base.n, self.base.m
+        alpha = self.alpha if self.alpha is not None else np.zeros(m)
+        kept = {"caps": as_counts(np.asarray(self.caps), "caps", (n,)), "alpha": _finite_nonnegative(alpha, m, "alpha")}
         if self.opening is not None:
-            kept["opening"] = _finite_nonnegative(self.opening, self.base.n, "opening", "n")
+            kept["opening"] = _finite_nonnegative(self.opening, n, "opening")
         for attr, a in kept.items():
             a.setflags(write=False)
             object.__setattr__(self, attr, a)
 
 
-def _finite_nonnegative(values, size: int, what: str, size_name: str) -> np.ndarray:
+def _finite_nonnegative(values, size: int, what: str) -> np.ndarray:
     """A new float64 copy of values; ValueError unless it is a finite nonnegative vector of length size."""
     a = np.array(values, dtype=np.float64)
-    if a.shape != (size,) or not np.all(np.isfinite(a)) or np.any(a < 0):
-        raise ValueError(f"{what} must be a finite nonnegative vector of length {size_name}")
+    require_range(what, a, math.inf, f"{what} finite and >= 0", (size,))
     return a
 
 
@@ -243,7 +243,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
     perm = sorted(range(n), key=lambda i: (-f[i], i))  # branching order: dearest site first
     # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites perm[k:] add
-    rho = (inst.site_costs + np.minimum(inst.dist - ci.alpha, 0.0).sum(axis=1)).tolist()
+    rho = (inst.site_costs - dual_terms(ci.alpha, inst)[0].sum(axis=1)).tolist()
     lag_root = float(inst.demands @ ci.alpha)
     suffix = [0.0] * (n + 1)
     for k in reversed(range(n)):

@@ -11,7 +11,7 @@ metric condition
 
 which is what the triangle inequality looks like when only site-client
 distances exist.  The Instance constructor checks the values (f and d
-finite and >= 0, r integers >= 0, a finite cost scale); validate checks
+finite and >= 0, r integers in [0, 2^53], a finite cost scale); validate checks
 the metric condition.
 
 Instances travel as plain text, one logical line per record, with `#`
@@ -20,7 +20,7 @@ starting a comment that runs to end of line and blank lines ignored:
     ftfp 1           header: format name and version
     n m              site count, client count (both >= 1)
     f_1 ... f_n      opening costs, reals >= 0
-    r_1 ... r_m      demands, integers >= 0
+    r_1 ... r_m      demands, integers in [0, 2^53]
     d_11 ... d_1m    distance row of site 1
     ...              (n rows total)
 
@@ -51,18 +51,22 @@ class ParseError(ValueError):
     """Malformed instance or solution text; message names the line."""
 
 
-def _require_range(what: str, values: np.ndarray, end: float, need: str) -> None:
-    """Raise ValueError naming what and its first entry outside [0, end) (NaN is outside)."""
+def require_range(what: str, values: np.ndarray, end: float, need: str, shape: tuple | None = None) -> None:
+    """Raise ValueError naming what and its first entry outside [0, end) (NaN is outside),
+    or its shape when it is not `shape` (when given); values must be nonempty."""
+    if shape is not None and values.shape != shape:
+        raise ValueError(f"{what} has shape {values.shape}, need {shape}")
     if not 0 <= values.min() <= values.max() < end:
         at = np.unravel_index(np.argmax(~((values >= 0) & (values < end))), values.shape)
         raise ValueError(f"{what}[{','.join(map(str, at))}] = {values[at]} violates {need}")
 
 
-def as_counts(values: np.ndarray, what: str) -> np.ndarray:
-    """A new int64 copy of a nonempty array; ValueError unless every entry is an integer in [0, 2^63)."""
+def as_counts(values: np.ndarray, what: str, shape: tuple | None = None) -> np.ndarray:
+    """A new int64 copy of a nonempty array; ValueError unless it has shape `shape` (when given)
+    and every entry is an integer in [0, 2^63)."""
     if values.dtype.kind != "i" and not np.array_equal(np.rint(values), values):
         raise ValueError(f"{what} must be integers")
-    _require_range(what, values, 2**63, f"0 <= {what} < 2^63")
+    require_range(what, values, 2**63, f"0 <= {what} < 2^63", shape)
     return values.astype(np.int64)
 
 
@@ -71,7 +75,7 @@ class Instance:
     """Immutable FTFP instance: costs, demands, and a distance table.
 
     The constructor raises ValueError, naming the field and its first bad
-    entry, unless f and d are finite and >= 0 and r are integers in [0, 2^63).
+    entry, unless f and d are finite and >= 0 and r are integers in [0, 2^53].
     It also raises when the plain upper bound on the optimum, opening max_j r_j
     facilities at every site plus each client's demand at its farthest site,
     max_j r_j * sum_i f_i + sum_j r_j max_i d_ij, reaches COST_LIMIT, or
@@ -92,9 +96,11 @@ class Instance:
             raise ValueError("shape mismatch: need f (n,), r (m,), d (n, m)")
         if f.size < 1 or r.size < 1:
             raise ValueError("need at least one site and one client")
-        _require_range("site_costs", f, math.inf, "f_i finite and >= 0")
-        _require_range("dist", d, math.inf, "d_ij finite and >= 0")
+        require_range("site_costs", f, math.inf, "f_i finite and >= 0")
+        require_range("dist", d, math.inf, "d_ij finite and >= 0")
         r = as_counts(r, "demands")
+        # the LP takes demands as float64, which holds every integer up to 2^53 exactly
+        require_range("demands", r, 2**53 + 1, "r_j <= 2^53")
         with np.errstate(over="ignore"):  # a sum that overflows is inf, refused below
             bound = float(r.max()) * float(f.sum()) + float(r @ d.max(axis=0))
         if not bound < COST_LIMIT:

@@ -60,15 +60,22 @@ positive entry and raises LpInfeasibleError.
 solve_lp maps the optimum back to the paper's variables.  y is the
 multiplier vector of the y rows.  x_ij fills each client's demand from
 y in scan order over its kept pairs (ascending d_ij, lowest site on
-ties), which attains g_j(y), so (x, y) costs the optimum.  The dual
-certificate is alpha_j = lambda_j + sum_l mu_lj d_lj, beta_ij =
-lambda_j + sum_l mu_lj max(0, d_lj - d_ij) on kept pairs (0 elsewhere)
-and gamma from the cap columns: each site budget is the dual's y_i
-row, alpha_j - beta_ij = sum_l mu_lj min(d_lj, d_ij) <= d_ij as the
-theta_j row bounds sum_l mu_lj by 1, and its value is the dual optimum.
-solve_lp checks the primal point and certificate it returns with
-check_duality on the full instance, under the LP's caps, and raises
-SimplexError if the check fails, so every value it reports is certified.
+ties), which attains g_j(y), so (x, y) costs the optimum.  The
+certificate is alpha alone, alpha_j = lambda_j + sum_l mu_lj d_lj.
+dual_terms extends it by the least beta and gamma the dual constraints
+allow, beta_ij = max(0, alpha_j - d_ij) and, under caps, gamma_i =
+max(0, sum_j beta_ij - f_i).  Every feasible extension is at least as
+large entrywise, so alpha extends to a feasible dual iff this one is,
+and its value r.alpha - cap.gamma is the largest: testing alpha >= 0
+and the uncapped site budget sum_j beta_ij <= f_i (gamma meets it under
+caps) is as strong as testing a whole dual.  The optimum's alpha
+extends: the simplex's own beta_ij = lambda_j + sum_l mu_lj max(0,
+d_lj - d_ij) on kept pairs meets each site budget (its y_i row) and
+alpha_j - beta_ij = sum_l mu_lj min(d_lj, d_ij) <= d_ij, as the theta_j
+row bounds sum_l mu_lj by 1.  solve_lp checks the primal point and
+alpha with check_duality on the full instance, under the LP's caps,
+and raises SimplexError if the check fails, so every value it reports
+is certified.
 
 The solver is a dense full-tableau simplex.  The entering column is
 the one with the most negative reduced cost (Dantzig's rule), ties
@@ -96,11 +103,12 @@ accumulated pivot drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, scan_fill, solution_cost
+from .instance import Instance, require_range, scan_fill, solution_cost
 
 FEAS_TOL = 1e-7
 DUAL_GAP_REL_TOL = 1e-6
@@ -149,16 +157,6 @@ class FractionalSolution:
     counters: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Dual certificate: alpha (m,), beta (n, m), gamma (n,) when capped; objective is r.alpha - cap.gamma."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    objective: float
-    gamma: np.ndarray | None = None
-
-
 def candidate_pairs(inst: Instance) -> np.ndarray:
     """(n, m) mask of the pairs with d_ij <= min_k (f_k + d_kj).
 
@@ -184,8 +182,7 @@ def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
         pairs = candidate_pairs(inst)
     else:
         caps = np.asarray(caps, dtype=float)
-        if caps.shape != (n,) or not np.all(np.isfinite(caps)) or np.any(caps < 0):
-            raise ValueError("caps must be a finite nonnegative (n,) vector")
+        require_range("caps", caps, math.inf, "cap_i finite and >= 0", (n,))
         pairs = np.ones((n, m), dtype=bool)
     site, client = np.nonzero(pairs)  # kept pair t is the cut of (l, j) = (site[t], client[t])
     k = site.size
@@ -272,15 +269,15 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters
 
 
-def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, DualSolution]:
-    """Solve to optimality; returns primal point and the dual certificate that passed check_duality.
+def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, np.ndarray]:
+    """Solve to optimality; returns the primal point and the coverage duals alpha that passed check_duality.
 
     Both are in the paper's variables (recovery in the module docstring),
     checked on lp.inst under lp.caps; a refuted certificate raises
     SimplexError.  The primal point's counters hold the LP shape (rows,
     cols), the simplex work: pivots, degenerate_pivots (ratio zero) and
     bland_pivots (entering column chosen by the anti-cycling fallback),
-    and the certified duality_gap |primal.objective - dual.objective|.
+    and the certified duality_gap |primal.objective - dual value|.
     """
     v, duals, work = _simplex_min(lp.A, lp.b, lp.c)
     if v.min() < -FEAS_TOL or duals.min() < -FEAS_TOL:
@@ -289,50 +286,55 @@ def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, DualSolution]:
     inst, n, m = lp.inst, lp.inst.n, lp.inst.m
     y = np.maximum(duals[:n], 0.0)
     site, client = np.nonzero(lp.pairs)
-    k = site.size
     x = scan_fill(np.where(lp.pairs, y[:, None], 0.0), inst)
-    lam, mu = v[:m], v[m : m + k]
-    of_client = client[:, None] == np.arange(m)  # (k, m) one-hot of each cut's client
-    alpha = lam + (mu * inst.dist[site, client]) @ of_client
-    beta = np.where(lp.pairs, lam + (-lp.A[:n, m : m + k] * mu) @ of_client, 0.0)
-    gamma = v[m + k :] if lp.caps is not None else None
-    dual = DualSolution(alpha, beta, _dual_value(inst, lp.caps, alpha, gamma), gamma)
+    mu = v[m : m + site.size]
+    alpha = v[:m] + np.bincount(client, weights=mu * inst.dist[site, client], minlength=m)
     objective = solution_cost(inst, y, x)
-    gap = abs(objective - dual.objective)
+    gap = abs(objective - _dual_value(alpha, inst, lp.caps))
     counters = dict(rows=lp.A.shape[0], cols=lp.A.shape[1], **work, duality_gap=gap)
     primal = FractionalSolution(x=x, y=y, objective=objective, counters=counters)
-    bad = check_duality(primal, dual, inst, lp.caps)
+    bad = check_duality(primal, alpha, inst, lp.caps)
     if bad:
         raise SimplexError(f"LP of {inst.name!r} failed its duality check: " + "; ".join(bad))
-    return primal, dual
+    return primal, alpha
 
 
-def _dual_value(
-    inst: Instance, caps: np.ndarray | None, alpha: np.ndarray, gamma: np.ndarray | None
-) -> float:
-    """The certificate's value sum_j r_j alpha_j - cap.gamma; gamma counts only under caps."""
+def dual_terms(
+    alpha: np.ndarray, inst: Instance, caps: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The least (beta, gamma) that alpha extends to: beta_ij = max(0, alpha_j - d_ij),
+    and under caps gamma_i = max(0, sum_j beta_ij - f_i), else None (module docstring)."""
+    beta = np.maximum(alpha[None, :] - inst.dist, 0.0)
+    if caps is None:
+        return beta, None
+    return beta, np.maximum(beta.sum(axis=1) - inst.site_costs, 0.0)
+
+
+def _dual_value(alpha: np.ndarray, inst: Instance, caps: np.ndarray | None) -> float:
+    """The certificate's value sum_j r_j alpha_j, less cap.gamma of the least gamma under caps."""
     value = float(inst.demands @ alpha)
-    if caps is not None and gamma is not None:
-        value -= float(np.asarray(caps, float) @ gamma)
+    if caps is not None:
+        value -= float(np.asarray(caps, float) @ dual_terms(alpha, inst, caps)[1])
     return value
 
 
 def check_duality(
     primal: FractionalSolution,
-    dual: DualSolution,
+    alpha: np.ndarray,
     inst: Instance,
     caps: np.ndarray | None = None,
 ) -> list[str]:
-    """Validate a primal/dual pair as a certificate of LP optimality; returns one message per failure.
+    """Validate a primal point and coverage duals alpha as a certificate of LP optimality; one message per failure.
 
     Slack convention: every constraint is written as slack >= 0, and a
     message led by the family's name reports each family whose worst
-    (most negative) slack is below -1e-7.  No message means both points
-    are feasible within 1e-7 and the objectives agree within 1e-6
-    relative, which certifies optimality by weak duality.  Every test
-    passes only on numbers, so a NaN or infinite slack or gap fails it.
+    (most negative) slack is below -1e-7.  alpha is tested with its least
+    extension (dual_terms), which is feasible iff any extension is.  No
+    message means both points are feasible within 1e-7 and the objectives
+    agree within 1e-6 relative, which certifies optimality by weak
+    duality.  Every test passes only on numbers, so a NaN or infinite
+    slack or gap fails it.
     """
-    n, m = inst.n, inst.m
     messages: list[str] = []
 
     def family(name: str, slack: np.ndarray, what: str):
@@ -346,23 +348,18 @@ def check_duality(
     family("coverage", primal.x.sum(axis=0) - inst.demands, "sum_i x_ij >= r_j")
     if caps is not None:
         family("caps", np.asarray(caps, float) - primal.y, "y_i <= cap_i")
-    dual_parts = [dual.alpha, dual.beta.ravel()]
-    gamma = dual.gamma if dual.gamma is not None else np.zeros(n)
-    if caps is not None:
-        dual_parts.append(gamma)
-    family("dual_nonneg", np.concatenate(dual_parts), "alpha, beta, gamma >= 0")
-    family("site_budget", inst.site_costs + gamma - dual.beta.sum(axis=1), "sum_j beta_ij - gamma_i <= f_i")
-    family("edge", (inst.dist - dual.alpha[None, :] + dual.beta).ravel(), "alpha_j - beta_ij <= d_ij")
+    family("dual_nonneg", alpha, "alpha >= 0")
+    if caps is None:  # under caps the least gamma meets every site budget
+        beta = dual_terms(alpha, inst)[0]
+        family("site_budget", inst.site_costs - beta.sum(axis=1), "sum_j max(0, alpha_j - d_ij) <= f_i")
 
     def agree(value: float, other: float) -> bool:
         return abs(value - other) <= DUAL_GAP_REL_TOL * (1.0 + abs(value))
 
     primal_cost = solution_cost(inst, primal.y, primal.x)
-    dual_value = _dual_value(inst, caps, dual.alpha, dual.gamma)
+    dual_value = _dual_value(alpha, inst, caps)
     if not agree(primal_cost, primal.objective):
         messages.append(f"objective field {primal.objective} disagrees with recomputed cost {primal_cost}")
-    if not agree(dual_value, dual.objective):
-        messages.append(f"dual objective field {dual.objective} disagrees with recomputed value {dual_value}")
     if not agree(primal_cost, dual_value):
         messages.append(f"duality gap {primal_cost - dual_value:.3e} exceeds tolerance")
     return messages

@@ -72,14 +72,15 @@ class SolveReport:
     lp_star_residual is the uncapped residual LP optimum, which the caps
     never bind: they are at least max rbar, and some LP optimum opens at
     most max rbar at every site (cut each x_ij to r_j, then each y_i to
-    max_j x_ij; neither raises the cost).  The main LP's duals (alpha,
-    beta) stay feasible for any demands, and complementary slackness
-    makes (xbar, ybar) cost exactly rbar.alpha: xbar_ij > 0 gives d_ij =
-    alpha_j - beta_ij, ybar_i > 0 gives f_i = sum_j beta_ij, beta_ij > 0
-    gives xbar_ij = ybar_i.  So when (xbar, ybar) is feasible for the
-    residual, as a reduce-mode one always is, check_duality certifies
-    rbar.alpha as the optimum; when it refutes it (large mode can strand
-    xbar_ij > ybar_i), the residual LP is solved instead.
+    max_j x_ij; neither raises the cost).  The main LP's optimal duals
+    (alpha, beta), beta the simplex's own, stay feasible for any
+    demands, and complementary slackness makes (xbar, ybar) cost exactly
+    rbar.alpha: xbar_ij > 0 gives d_ij = alpha_j - beta_ij, ybar_i > 0
+    gives f_i = sum_j beta_ij, beta_ij > 0 gives xbar_ij = ybar_i.  The
+    check needs only alpha (see lp_core): when (xbar, ybar) is feasible
+    for the residual, as a reduce-mode one always is, check_duality
+    certifies rbar.alpha as the optimum; when it refutes it (large mode
+    can strand xbar_ij > ybar_i), the residual LP is solved instead.
     counters maps each LP solved ("lp", and "residual_lp" only when the
     residual's certificate was refuted) to its shape, pivot counts and
     certified duality gap (see solve_lp); "subroutine" (a non-empty
@@ -210,7 +211,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     counters: dict[str, dict[str, float]] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual = solve_lp(build_lp(inst))
+    frac, alpha = solve_lp(build_lp(inst))
     wall["lp"] = time.perf_counter() - t
     lp_star = frac.objective
     counters["lp"] = frac.counters
@@ -228,11 +229,11 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     else:
         res = residual_instance(dec, inst)
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, split_counts(dec), dual.alpha, dec.ybar))
+        s2 = sub.solve(to_capped(res, split_counts(dec), alpha, dec.ybar))
         wall["subroutine"] = time.perf_counter() - t
         t = time.perf_counter()
-        lp2 = float(dec.rbar @ dual.alpha)  # the residual LP optimum when the certificate holds
-        if check_duality(FractionalSolution(dec.xbar, dec.ybar, lp2), replace(dual, objective=lp2), res):
+        lp2 = float(dec.rbar @ alpha)  # the residual LP optimum when the certificate holds
+        if check_duality(FractionalSolution(dec.xbar, dec.ybar, lp2), alpha, res):
             res_lp = solve_lp(build_lp(res))[0]
             lp2 = res_lp.objective
             counters["residual_lp"] = res_lp.counters
@@ -269,12 +270,12 @@ def solve_oracle(inst: Instance) -> tuple[IntegralSolution, SolveReport]:
     wall: dict[str, float] = {}
     t_total = time.perf_counter()
     t = time.perf_counter()
-    frac, dual = solve_lp(build_lp(inst))
+    frac, alpha = solve_lp(build_lp(inst))
     lp_star = frac.objective
     wall["lp"] = time.perf_counter() - t
     t = time.perf_counter()
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    sol = solve_exact(to_capped(inst, caps, dual.alpha, frac.y))
+    sol = solve_exact(to_capped(inst, caps, alpha, frac.y))
     wall["oracle"] = time.perf_counter() - t
     counters = {"lp": frac.counters, "oracle": dict(sol.counters)}
     return _report(

@@ -3,9 +3,12 @@
 Everything in this module is deliberately written with a different toolchain
 (scipy) or a different algorithmic shape (plain loops, exhaustive search,
 bipartite matching) than the code under test, so agreement between the two is
-meaningful evidence rather than a tautology.  The one exception is
+meaningful evidence rather than a tautology.  The two exceptions are
 reference_simplex_min, the simplex as it stood before its pivot loop was
-rewritten: it pins the rewrite to the same pivots and the same bits.
+rewritten, which pins the rewrite to the same pivots and the same bits,
+and reference_check_duality, the certificate check as it stood when it
+took the whole dual (alpha, beta, gamma), which pins check_duality's
+alpha-only form to the same verdicts.
 """
 
 from __future__ import annotations
@@ -283,3 +286,35 @@ def reference_simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     v = np.zeros(ncols)
     v[basis] = np.linalg.solve(B, -b)
     return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters
+
+
+def reference_check_duality(
+    primal, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray | None, inst: Instance,
+    caps: np.ndarray | None = None,
+) -> list[str]:
+    """lp_core.check_duality as it stood when it took the whole dual (alpha, beta, gamma).
+
+    Seven families, each a slack that must be >= -FEAS_TOL: primal
+    nonnegativity, linking, coverage, caps (under caps), dual
+    nonnegativity, the site budget sum_j beta_ij - gamma_i <= f_i and the
+    edge alpha_j - beta_ij <= d_ij; then the gap between the primal cost
+    and r.alpha - cap.gamma.  Returns the names of the failing families
+    ("gap" for the gap test).
+    """
+    n = inst.n
+    gamma = gamma if caps is not None else np.zeros(n)
+    slacks = {
+        "primal_nonneg": np.concatenate([primal.y, primal.x.ravel()]),
+        "linking": (primal.y[:, None] - primal.x).ravel(),
+        "coverage": primal.x.sum(axis=0) - inst.demands,
+        "caps": np.asarray(caps, float) - primal.y if caps is not None else np.zeros(0),
+        "dual_nonneg": np.concatenate([alpha, beta.ravel(), gamma]),
+        "site_budget": inst.site_costs + gamma - beta.sum(axis=1),
+        "edge": (inst.dist - alpha[None, :] + beta).ravel(),
+    }
+    bad = [name for name, slack in slacks.items() if slack.size and not slack.min() >= -lp_core.FEAS_TOL]
+    primal_cost = float(inst.site_costs @ primal.y + (inst.dist * primal.x).sum())
+    dual_value = float(inst.demands @ alpha) - (float(np.asarray(caps, float) @ gamma) if caps is not None else 0.0)
+    if not abs(primal_cost - dual_value) <= lp_core.DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
+        bad.append("gap")
+    return bad

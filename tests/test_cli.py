@@ -125,6 +125,21 @@ def test_overflowing_values_are_refused_before_any_lp(command, costs, tmp_path, 
     assert "values too large" in err
 
 
+@pytest.mark.parametrize("demand, code", [(2**53, 0), (2**53 + 1, 2)])
+def test_demands_above_two_to_the_53_are_refused(demand, code, tmp_path, capsys):
+    # the LP takes demands as float64: 2^53 + 1 would reach it as 2^53, and the
+    # plan would cost more than the chain bound proven from that LP value
+    path, report = tmp_path / "big.ftfp", tmp_path / "report.json"
+    path.write_text(f"ftfp 1\n2 2\n1.5 2.5\n{demand} 7\n0.3 0.7\n0.6 0.2\n")
+    argv = ["solve", "--in", str(path), "--algo", "reduce", "--ftfl", "greedy", "--report", str(report)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "demands[0] = 9007199254740993 violates" in err
+    else:
+        assert json.loads(report.read_text())["chain_slack"] >= 0.0
+
+
 def test_lp_dump_is_zero_off_candidate_pairs(tmp_path):
     inst = random_instance(7, sites=6, clients=8)
     path = tmp_path / "s7.ftfp"

@@ -203,6 +203,18 @@ def test_capped_instance_rejects_bad_opening(instance_a, opening):
         to_capped(instance_a, caps_for(instance_a), None, opening)
 
 
+def test_vector_checks_name_the_first_bad_entry(instance_b):
+    caps = np.array([1, 1])
+    with pytest.raises(ValueError, match=r"alpha\[1\] = -0.5 violates"):
+        to_capped(instance_b, caps, np.array([0.0, -0.5]))
+    with pytest.raises(ValueError, match=r"opening has shape \(3,\), need \(2,\)"):
+        to_capped(instance_b, caps, None, np.zeros(3))
+    with pytest.raises(ValueError, match=r"caps\[1\] = -1 violates"):
+        to_capped(instance_b, np.array([2, -1]))
+    with pytest.raises(ValueError, match=r"caps\[0\] = nan violates"):
+        build_lp(instance_b, np.array([np.nan, np.inf]))
+
+
 def test_capped_instance_keeps_a_read_only_copy_of_opening(instance_a):
     opening = np.array([1.5, 0])
     ci = to_capped(instance_a, caps_for(instance_a), None, opening)
@@ -303,8 +315,8 @@ def oracle_pool() -> list[CappedInstance]:
     pool = []
     for seed in range(7, 55):
         inst = generate(GenParams(6, 12, 1, 4, seed))
-        frac, dual = solve_lp(build_lp(inst))  # certified by solve_lp
-        pool.append(to_capped(inst, caps_for(inst), dual.alpha, frac.y))
+        frac, alpha = solve_lp(build_lp(inst))  # certified by solve_lp
+        pool.append(to_capped(inst, caps_for(inst), alpha, frac.y))
     return pool
 
 
@@ -316,11 +328,11 @@ def residual_pools() -> dict[str, list[CappedInstance]]:
     pools = {"reduce": [], "large": []}
     for seed in range(7, 71):
         inst = generate(GenParams(15, 20, 1, 5, seed))
-        frac, dual = solve_lp(build_lp(inst))
+        frac, alpha = solve_lp(build_lp(inst))
         frac = trim_to_demand(frac, inst)
         for mode, decompose in (("reduce", decompose_reduce), ("large", decompose_large)):
             dec = decompose(frac, inst)
-            pools[mode].append(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha, dec.ybar))
+            pools[mode].append(to_capped(residual_instance(dec, inst), split_counts(dec), alpha, dec.ybar))
     return pools
 
 

@@ -167,7 +167,7 @@ def test_constructor_rejects_values_whose_cost_bound_overflows():
         ([1.0, 1.0], [1, 1], [[1e308, 1e308], [1e308, 1e308]]),
         ([1e308, 1.0], [1, 1], [[1.0, 1.0], [1.0, 1.0]]),
         ([1e299] * 20, [1], [[0.0]] * 20),  # the sum of f, not any one f, is too large
-        ([0.0], [2**62], [[1e290]]),  # r_j d_ij
+        ([0.0], [2**53], [[1e290]]),  # r_j d_ij
     ]:
         with pytest.raises(ValueError, match="values too large"):
             Instance(np.array(f), np.array(r), np.array(d))

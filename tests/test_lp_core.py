@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_instance, random_shape, uniform_demand
-from oracles import lp_oracle, reference_simplex_min
+from oracles import lp_oracle, reference_check_duality, reference_simplex_min
 
 from ftfp import lp_core
 from ftfp.instance import GenParams, Instance, generate, validate
 from ftfp.lp_core import (
-    DualSolution,
     LpInfeasibleError,
     SimplexError,
     build_lp,
     candidate_pairs,
     check_duality,
+    dual_terms,
     solve_lp,
     trim_to_demand,
 )
@@ -122,9 +124,10 @@ def test_pruned_lp_layout(instance_a):
     assert lp.pairs.tolist() == [[True], [False]]
     assert lp.A.tolist() == [[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
     assert lp.b.tolist() == [-3.0, -10.0, -1.0] and lp.c.tolist() == [-2.0, -2.0]
-    primal, dual = solve_lp(lp)
-    assert primal.x.shape == dual.beta.shape == (2, 1)
-    assert primal.x.tolist() == [[2.0], [0.0]] and dual.beta[1, 0] == 0.0
+    primal, alpha = solve_lp(lp)
+    beta = dual_terms(alpha, far)[0]
+    assert primal.x.shape == beta.shape == (2, 1)
+    assert primal.x.tolist() == [[2.0], [0.0]] and beta[1, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +135,34 @@ def test_pruned_lp_layout(instance_a):
 
 
 def test_fixture_a_lp(instance_a):
-    primal, dual = solve_lp(build_lp(instance_a))
+    primal, alpha = solve_lp(build_lp(instance_a))
     assert primal.objective == 8.0
     assert np.array_equal(primal.y, [2.0, 0.0])
     assert np.array_equal(primal.x.ravel(), [2.0, 0.0])
-    assert close(dual.objective, 8.0, 1e-12)
-    assert dual.gamma is None
+    assert close(float(instance_a.demands @ alpha), 8.0, 1e-12)
+    assert dual_terms(alpha, instance_a)[1] is None
 
 
 def test_fixture_b_lp(instance_b):
-    primal, dual = solve_lp(build_lp(instance_b))
+    primal, alpha = solve_lp(build_lp(instance_b))
     assert primal.objective == 2.0
     assert np.array_equal(primal.y, [1.0, 1.0])
-    assert close(dual.objective, 2.0, 1e-12)
+    assert close(float(instance_b.demands @ alpha), 2.0, 1e-12)
 
 
 def test_fixture_a_capped_lp(instance_a):
     # with one facility allowed per site both sites must open fully
     caps = np.array([1.0, 1.0])
-    primal, dual = solve_lp(build_lp(instance_a, caps))
+    primal, alpha = solve_lp(build_lp(instance_a, caps))
     assert primal.objective == 16.0
     assert np.array_equal(primal.y, [1.0, 1.0])
-    assert dual.gamma is not None and dual.gamma.shape == (2,)
+    beta, gamma = dual_terms(alpha, instance_a, caps)
+    assert gamma is not None and gamma.shape == (2,)
     # the caps bind, so at least one cap multiplier must be active
-    assert dual.gamma.max() > 0.0
-    assert check_duality(primal, dual, instance_a, caps) == []
-    # the dual's objective is the certificate's value r.alpha - caps.gamma
-    assert dual.objective == float(instance_a.demands @ dual.alpha) - float(caps @ dual.gamma)
+    assert gamma.max() > 0.0
+    assert check_duality(primal, alpha, instance_a, caps) == []
+    # the certificate's value r.alpha - caps.gamma, with the least gamma, is the optimum
+    assert close(float(instance_a.demands @ alpha) - float(caps @ gamma), 16.0, 1e-12)
 
 
 def test_infeasible_caps_raise(instance_a):
@@ -254,14 +258,14 @@ def test_solve_lp_is_deterministic():
 
 def test_solve_lp_counters(instance_b):
     lp = build_lp(instance_b)
-    primal, dual = solve_lp(lp)
+    primal, alpha = solve_lp(lp)
     counters = primal.counters
     n, m = instance_b.n, instance_b.m
     assert list(counters) == ["rows", "cols", "pivots", "degenerate_pivots", "bland_pivots", "duality_gap"]
     assert counters["rows"] == n + m
     assert counters["cols"] == m + int(lp.pairs.sum()) == m + 2  # each client keeps only its own site
     assert 0.0 <= counters["duality_gap"] <= 1e-6 * (1.0 + primal.objective)
-    assert counters["duality_gap"] == abs(primal.objective - dual.objective)
+    assert counters["duality_gap"] == abs(primal.objective - float(instance_b.demands @ alpha))
     assert counters["pivots"] >= 1  # the slack basis v = 0 is not optimal when demand is positive
     assert counters["degenerate_pivots"] <= counters["pivots"]
     assert counters["bland_pivots"] <= counters["pivots"]
@@ -408,9 +412,9 @@ def assert_pruned_lp_is_exact(inst: Instance) -> np.ndarray:
     """The LP over candidate_pairs is certified on the full instance and has the full optimum."""
     mask = candidate_pairs(inst)
     assert mask.any(axis=0).all()  # every client keeps a site
-    primal, dual = solve_lp(build_lp(inst))
-    assert not primal.x[~mask].any() and not dual.beta[~mask].any()
-    assert check_duality(primal, dual, inst) == []
+    primal, alpha = solve_lp(build_lp(inst))
+    assert not primal.x[~mask].any() and not dual_terms(alpha, inst)[0][~mask].any()
+    assert check_duality(primal, alpha, inst) == []
     full = solve_lp(full_lp(inst))[0].objective
     assert close(primal.objective, full), (primal.objective, full)
     want = lp_oracle(inst)
@@ -493,14 +497,8 @@ def test_check_duality_rejects_linking_violation(instance_b):
 
 
 def test_check_duality_rejects_inflated_dual(instance_a):
-    primal, dual = solve_lp(build_lp(instance_a))
-    inflated = DualSolution(
-        alpha=dual.alpha + 1.0,
-        beta=dual.beta,
-        objective=float((dual.alpha + 1.0) @ instance_a.demands),
-        gamma=None,
-    )
-    assert check_duality(primal, inflated, instance_a)
+    primal, alpha = solve_lp(build_lp(instance_a))
+    assert check_duality(primal, alpha + 1.0, instance_a)
 
 
 def test_check_duality_rejects_wrong_objective_field(instance_a):
@@ -511,21 +509,67 @@ def test_check_duality_rejects_wrong_objective_field(instance_a):
 
 
 def test_check_duality_reports_negative_dual(instance_a):
-    primal, dual = solve_lp(build_lp(instance_a))
-    neg = DualSolution(alpha=dual.alpha - 10.0, beta=dual.beta, objective=dual.objective)
-    bad = check_duality(primal, neg, instance_a)
+    primal, alpha = solve_lp(build_lp(instance_a))
+    bad = check_duality(primal, alpha - 10.0, instance_a)
     assert any(msg.startswith("dual_nonneg:") for msg in bad)
 
 
 def test_check_duality_fails_closed_on_non_finite_values(instance_a):
-    primal, dual = solve_lp(build_lp(instance_a))
-    nan_alpha = DualSolution(alpha=dual.alpha * np.nan, beta=dual.beta, objective=dual.objective)
-    assert any(msg.startswith("dual_nonneg:") for msg in check_duality(primal, nan_alpha, instance_a))
+    primal, alpha = solve_lp(build_lp(instance_a))
+    assert any(msg.startswith("dual_nonneg:") for msg in check_duality(primal, alpha * np.nan, instance_a))
     # abs(nan) > tol is false, so a NaN objective field must fail the comparison itself
     nan_primal = type(primal)(x=primal.x, y=primal.y, objective=np.nan)
-    assert any(msg.startswith("objective field") for msg in check_duality(nan_primal, dual, instance_a))
-    nan_dual = DualSolution(alpha=dual.alpha, beta=dual.beta, objective=np.nan)
-    assert any(msg.startswith("dual objective field") for msg in check_duality(primal, nan_dual, instance_a))
+    assert any(msg.startswith("objective field") for msg in check_duality(nan_primal, alpha, instance_a))
+
+
+# ---------------------------------------------------------------------------
+# the certificate is alpha: its bits, and the verdicts of the whole-dual check
+
+# sha256 over the bytes of solve_lp's alpha on the benchmark's 15x20 pool
+# (seeds 7-70, demands 1-5) and then on the first 48 instances of its 6x12 pool
+# (seeds 7-54, demands 1-4), recorded while solve_lp still read beta and gamma
+# out of the simplex's columns
+ALPHA_POOL_DIGEST = "96bfdf73049c13bd8c6cca0529234ce58e8e50940f80b7b1bf44d67177b068ae"
+
+
+def test_alpha_is_pinned_on_the_pools():
+    digest = hashlib.sha256()
+    for shape, seeds in (((15, 20, 1, 5), range(7, 71)), ((6, 12, 1, 4), range(7, 55))):
+        for seed in seeds:
+            digest.update(solve_lp(build_lp(generate(GenParams(*shape, seed))))[1].tobytes())
+    assert digest.hexdigest() == ALPHA_POOL_DIGEST
+
+
+@pytest.mark.parametrize("family", ["15x20", "6x12", "uniform2", "degenerate"])
+def test_check_duality_agrees_with_the_whole_dual_check(family):
+    # alpha passes exactly when its least extension passes the seven-family check,
+    # and both refuse an inflated (uncapped), a negative and a NaN alpha
+    solved = 0
+    for lp in pool_lps(family):
+        try:
+            primal, alpha = solve_lp(lp)
+        except LpInfeasibleError:
+            continue
+        solved += 1
+        inst, caps = lp.inst, lp.caps
+        trials = [alpha, alpha - 10.0, alpha * np.nan] + ([alpha + 1.0] if caps is None else [])
+        for k, a in enumerate(trials):
+            ours = check_duality(primal, a, inst, caps)
+            ref = reference_check_duality(primal, a, *dual_terms(a, inst, caps), inst, caps)
+            assert (ours == []) == (ref == []) == (k == 0), (family, k, ours, ref)
+    assert solved
+
+
+def test_check_duality_refuses_a_site_budget_the_gap_cannot_see():
+    # client 1 has no demand, so raising alpha_1 leaves r.alpha and the gap as they
+    # are; only the site budget sum_j max(0, alpha_j - d_ij) <= f_i refuses it
+    inst = Instance(np.array([1.0]), np.array([1, 0]), np.array([[0.0, 0.0]]))
+    primal, alpha = solve_lp(build_lp(inst))
+    assert check_duality(primal, alpha, inst) == []
+    raised = alpha + np.array([0.0, 5.0])
+    bad = check_duality(primal, raised, inst)
+    assert [msg.split(":")[0] for msg in bad] == ["site_budget"]
+    assert reference_check_duality(primal, raised, *dual_terms(raised, inst), inst) == ["site_budget"]
 
 
 # ---------------------------------------------------------------------------

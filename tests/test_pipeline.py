@@ -361,12 +361,12 @@ def test_report_counters_certify_every_lp(instance_a):
 
 def test_report_counters_carry_the_solver_counters():
     inst = random_instance(23000, sites=5, clients=6, demand_min=1, demand_max=4)
-    frac, dual = solve_lp(build_lp(inst))  # certified by solve_lp, as in the pipeline
+    frac, alpha = solve_lp(build_lp(inst))  # certified by solve_lp, as in the pipeline
     _, rep = solve_reduce(inst, subroutine("exact"))
     dec = rep.decomposition
     # the residual search gets the main LP's duals, which stay dual-feasible for any
     # demands, and the residual opening ybar for its first incumbent
-    search = solve_exact(to_capped(residual_instance(dec, inst), split_counts(dec), dual.alpha, dec.ybar))
+    search = solve_exact(to_capped(residual_instance(dec, inst), split_counts(dec), alpha, dec.ybar))
     assert rep.counters["subroutine"] == search.counters
     assert set(search.counters) == {"nodes", "pruned_bound", "pruned_infeasible"}
     assert search.counters["nodes"] >= 1
@@ -375,7 +375,7 @@ def test_report_counters_carry_the_solver_counters():
     assert rep.counters["subroutine"]["rounds"] >= 1
     _, rep = solve_oracle(inst)
     caps = np.full(inst.n, inst.max_demand, dtype=np.int64)
-    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps, dual.alpha, frac.y)).counters
+    assert rep.counters["oracle"] == solve_exact(to_capped(inst, caps, alpha, frac.y)).counters
     # the counters are plain ints, so the report round-trips through JSON
     assert parse_report(report_to_json(rep)).counters == rep.counters
 

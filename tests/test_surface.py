@@ -77,25 +77,25 @@ CASES = {
     "s3": (5, 6, 2, 4, 3),
 }
 DIGESTS = {
-    "s7.caps.lp": "8a7b27c6d23ab08449db5c6bd5b1c83629bd16066a778aa1e0c7132ac2911068",
+    "s7.caps.lp": "11515da220c8515e6f4dbe656ebf84970f6351a8b1c5054258d56a3ebc7361da",
     "s7.ftfp": "fd290758fa68c690d351539d9a7e13126af2f8b9b21acc3b9a5597e49520b435",
     "s7.large.dec": "51dbc90399c92d6bffab634a7b85c628d236fbc00d7855d4af7fbd526afc0c54",
     "s7.large.sol": "8400635d22585166a673d4c089c855b96fe20c3890924c5b9510ae850a0f5481",
-    "s7.lp": "d22d607f6e5be6d506bf28cbdfe1fe0ba268723a34735963183210440536c7e9",
+    "s7.lp": "d28bb98aa6e071d408df5717918530e441e6bd835c3203914a7672fc7ee8a7d0",
     "s7.reduce.dec": "1e75a41bd03b15caad71790a599560367a061858bcb6666a7666acf825bf5a73",
     "s7.reduce.sol": "8400635d22585166a673d4c089c855b96fe20c3890924c5b9510ae850a0f5481",
-    "s100.caps.lp": "fb1c9dc962b2d5d6a18688de6a7d36fb8156b5ab88819487bae56eab7710466b",
+    "s100.caps.lp": "14370a60900ca5ff0325cb5ca0f3e6487069b9a8bcde07334538cd530dc509df",
     "s100.ftfp": "6066f2e759ce741ae7ade756c6ac0214eae557c1511eeaad3d4cb82eeaa5a5ad",
     "s100.large.dec": "d201d8f1b085d4ca510b6d9943063f36d1af0bd167da65b0450cd2a8137d1e7f",
     "s100.large.sol": "89c7208cbcda52e6634c9a139d8a8d93309c8217c5f3f248cc2b34b89519fafe",
-    "s100.lp": "50422f094d5350d2ad1c0abbcae8457498e4b62f8813e4c88af48cb38f27fe41",
+    "s100.lp": "07fe29c0f55de1cf98501a4f0cd3d2cbfa40163e6bad0d8582352e063d3b779e",
     "s100.reduce.dec": "be170c1eb3a6a5efaccbd375edd6381f5c52aa8eb66aa6d2fd50a7b397b325d8",
     "s100.reduce.sol": "9e419316470a1ba2d1ebca91525dba0c12e4a222f4d4aaa2e8d453e3cf4978a4",
-    "s3.caps.lp": "4518f7a51059dfb1e34378feda6d4dcbbd6656636c9d4df65150bbe42e2ddd48",
+    "s3.caps.lp": "f3170d2d438e44cd548c389e31a3d7cbd5b8806b5db5418e8c5f35d3cf9eca83",
     "s3.ftfp": "f40487633bd3db0f16cee5bf9d0eab42e85b4a506c329653e435087bc7c4b402",
     "s3.large.dec": "2b0fd8434a2b5f42d05064376313612433fd51d7089a263d79ed131525d798fe",
     "s3.large.sol": "72df176bd691e3496b6a380e0872fad07dbfc0daf2109f873f908447a3370ef1",
-    "s3.lp": "41523831571d1ba3ff65074995cfb3f83d29857ce7b5b901bdeda12b723bf4c9",
+    "s3.lp": "240c0b5e7ff261cef5c4d04261989e00254090d13e028298f2407e716c5681c6",
     "s3.reduce.dec": "dd9d8524f04512bf33684b5727d4849801707b7fcd3338313fcbf9bc93cf83cc",
     "s3.reduce.sol": "73b0e66ebb5484e541d8d2d3c71b537c951cea95855b094810e21406a835e964",
 }
