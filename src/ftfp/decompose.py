@@ -20,6 +20,10 @@ large mode    y-hat_i = floor(y*_i)
     an identity here whenever x* <= y* holds exactly; it only guards
     against sub-tolerance noise in snapped inputs.
 
+Both accept exactly the points the certificate's primal families accept
+(lp_core.primal_violations), trimmed to the demands (trim_to_demand), and
+raise ValueError for any other.
+
 Values are snapped to nearby integers (within 1e-6) before flooring so
 that a connection of 1.9999999 is not floored to 1.  After the snap all
 arithmetic is exact: the inputs stay well below 2^52, so subtracting an
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp_core import FEAS_TOL, FractionalSolution
+from .lp_core import FractionalSolution, primal_violations
 
 SNAP_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
@@ -80,21 +84,12 @@ def _decompose(sol: FractionalSolution, inst: Instance, mode: Mode) -> Decomposi
     n, m = inst.n, inst.m
     if sol.x.shape != (n, m) or sol.y.shape != (n,):
         raise ValueError("solution shape does not match instance")
-    if float(sol.x.min()) < -FEAS_TOL or float(sol.y.min()) < -FEAS_TOL:
-        raise ValueError("negative x or y beyond tolerance")
-    if float((sol.x - sol.y[:, None]).max()) > FEAS_TOL:
-        raise ValueError("x_ij > y_i beyond tolerance")
-    short = inst.demands - sol.x.sum(axis=0)
-    if float(short.max()) > FEAS_TOL:
-        j = int(np.argmax(short))
-        raise ValueError(f"client {j} undercovered by {float(short[j]):.3e}")
-    xs = snap(sol.x)  # an entry in [-FEAS_TOL, 0) snaps to +0.0
+    bad = primal_violations(sol.x, sol.y, inst)
+    if bad:
+        raise ValueError("; ".join(bad))
+    xs = snap(sol.x)  # a negative entry the check lets through snaps to +0.0
     ys = snap(sol.y)
-    overshoot = float((xs - ys[:, None]).max())
-    if overshoot > RESIDUAL_TOL:
-        i, j = np.unravel_index(int(np.argmax(xs - ys[:, None])), xs.shape)
-        raise ValueError(f"snapping broke x <= y at site {i}, client {j}")
-    # a few ulps of basis-solve dust may leave x just above y; pin it back
+    # the tolerance, or a snap of y alone, may leave x just above y; pin it back
     xs = np.minimum(xs, ys[:, None])
     yhat = np.floor(ys).astype(np.int64)
     if mode == "reduce":

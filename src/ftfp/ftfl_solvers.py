@@ -16,17 +16,18 @@ Instance.scan_order).
 
 solve_exact   Depth-first branch and bound over opening vectors.  It
               branches on the dearest sites first (descending f_i,
-              lower index on ties), y_i from 0 upward; the order
-              depends on f alone, so searches with and without
-              multipliers branch alike.  A node is tested in three
-              steps, cheapest first; steps 2 and 3 prune only when
-              their bound exceeds the incumbent cost by more than
-              PRUNE_MARGIN relative (the cutoff):
-              1. Cover.  Any client may use any site, so the subtree
-                 can serve everyone iff the decided openings plus the
-                 undecided caps sum to at least max_j r_j; a running
-                 sum makes this O(1).
-              2. Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
+              lower index on ties), y_i upward; the order depends on f
+              alone, so searches with and without multipliers branch
+              alike.  Any client may use any site, so a subtree can
+              serve everyone iff its room, the decided openings plus
+              the undecided caps, is at least max_j r_j.  The cap check
+              proves that at the root, and site i's children run from
+              max(0, max_j r_j - room + cap_i) to cap_i, so every node
+              visited can cover.  A node is tested by two bounds,
+              cheapest first; each prunes only when it exceeds the
+              incumbent cost by more than PRUNE_MARGIN relative (the
+              cutoff):
+              1. Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
                  and Nemhauser 1977).  Relax the coverage rows with
                  multipliers alpha_j >= 0 (CappedInstance.alpha).  For
                  fixed y each x_ij in [0, y_i] then costs at least
@@ -48,14 +49,14 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  A CappedInstance built without alpha stores zeros:
                  then rho = f - 0.0 = f bit for bit (f >= 0), L is the
                  opening cost of the decided sites in the same float
-                 operations as step 3, and a node it prunes step 3
+                 operations as step 2, and a node it prunes step 2
                  would prune too, so callers without duals get the
                  same counters.  Every leaf below a node it prunes
                  costs more than the incumbent, is never accepted, and
                  the sequence of incumbents, hence the plan returned,
                  is the one without this step; the nodes visited are a
                  subset.
-              3. Opening cost of the decided sites, summed in branching
+              2. Opening cost of the decided sites, summed in branching
                  order, plus the optimal connection cost when every
                  undecided site is opened to its cap; capacities only
                  shrink deeper in the tree, so the bound is valid.  It
@@ -64,14 +65,14 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  as python ints and floats, so no node indexes a numpy
                  array.
               A leaf's cost is its opening costs summed in index order
-              plus its step-3 connection cost, so it does not depend on
+              plus its step-2 connection cost, so it does not depend on
               the branching order.  The first incumbent, valued the
               same way, is the LP's fractional opening
               (CappedInstance.opening) rounded up under the caps,
               min(ceil(y_i - OPENING_TOL), cap_i).  It covers every
               client when the LP's connections x fit under the caps:
               sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j.  When it
-              sums to less than max_j r_j (step 1's test), or there is
+              sums to less than max_j r_j (the cover test), or there is
               no opening, every site at its cap is the first incumbent
               instead, which the cap check has proved covers.  The
               search does not call the greedy solver.  Either incumbent
@@ -102,9 +103,8 @@ solve_greedy  Ratio greedy.  Each round either opens one more facility
               improve on the tentative routing.
 
 Both solvers count their work in IntegralSolution.counters: solve_exact
-the nodes visited ("nodes"), those cut by step 2 or 3 ("pruned_bound")
-and those cut by step 1 ("pruned_infeasible");
-solve_greedy its rounds, one move each ("rounds").
+the nodes visited ("nodes") and those cut by either bound
+("pruned_bound"); solve_greedy its rounds, one move each ("rounds").
 
 The exact search is budgeted by the work it does, not by the size of its
 space: it counts visited nodes against the node budget (FTFP_NODE_BUDGET
@@ -278,19 +278,16 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             best_y = rounded
     best_cost = opening_cost_in_index_order(best_y) + relaxed_connection_cost(best_y)
     cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
-    nodes = pruned_bound = pruned_infeasible = 0
+    nodes = pruned_bound = 0
     capvec = caps_list.copy()  # decided sites at their opening, undecided ones at their cap
 
     def walk(depth: int, opening_cost: float, lag: float, room: int, conn: float | None):
         """Visit the node with sites perm[:depth] decided; conn is relaxed_connection_cost(capvec)
         when the parent already has it (the last child keeps the parent's capvec), else None."""
-        nonlocal best_cost, cutoff, best_y, nodes, pruned_bound, pruned_infeasible
+        nonlocal best_cost, cutoff, best_y, nodes, pruned_bound
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
-        if room < need:
-            pruned_infeasible += 1
-            return  # even fully open this subtree cannot cover everyone
         if lag + suffix[depth] > cutoff:
             pruned_bound += 1
             return
@@ -308,7 +305,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             return
         i = perm[depth]
         cap, fi, ri = caps_list[i], f[i], rho[i]
-        for v in range(cap + 1):
+        for v in range(max(0, need - room + cap), cap + 1):  # the children whose room stays >= need
             capvec[i] = v
             walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v, conn if v == cap else None)
 
@@ -318,7 +315,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
     yv = np.array(best_y, dtype=np.int64)
     x = _assign(yv, inst)
-    counters = {"nodes": nodes, "pruned_bound": pruned_bound, "pruned_infeasible": pruned_infeasible}
+    counters = {"nodes": nodes, "pruned_bound": pruned_bound}
     return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
 
 

@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 METRIC_TOL = 1e-9
+COST_REL_TOL = 1e-6  # costs_agree's tolerance, relative to the cost unit
 # the largest plain upper bound on an instance's optimum (see Instance); the rest of
 # the float range is headroom for the sums the LP, its certificate and the search form
 COST_LIMIT = 1e300
@@ -129,6 +130,11 @@ class Instance:
         return int(self.demands.min())
 
     @cached_property
+    def cost_unit(self) -> float:
+        """The largest opening cost or distance: the scale every cost tolerance is measured in."""
+        return max(float(self.site_costs.max()), float(self.dist.max()))
+
+    @cached_property
     def scan_order(self) -> np.ndarray:
         """(n, m) read-only site indices; column j lists the sites by ascending d_ij, lowest index on ties.
 
@@ -162,6 +168,11 @@ def scan_fill(offer: np.ndarray, inst: Instance) -> np.ndarray:
 def solution_cost(inst: Instance, y: np.ndarray, x: np.ndarray) -> float:
     """f.y + sum_ij d_ij x_ij, the cost of openings y and connections x, integral or fractional."""
     return float(inst.site_costs @ y + (inst.dist * x).sum())
+
+
+def costs_agree(inst: Instance, value: float, other: float) -> bool:
+    """Whether |value - other| <= COST_REL_TOL (cost_unit + |value|); a NaN never agrees."""
+    return abs(value - other) <= COST_REL_TOL * (inst.cost_unit + abs(value))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,8 @@ alpha_j - beta_ij = sum_l mu_lj min(d_lj, d_ij) <= d_ij, as the theta_j
 row bounds sum_l mu_lj by 1.  solve_lp checks the primal point and
 alpha with check_duality on the full instance, under the LP's caps,
 and raises SimplexError if the check fails, so every value it reports
-is certified.
+is certified.  Its cost tests are measured in Instance.cost_unit, so a
+certificate means the same whatever unit f and d are written in.
 
 The solver is a dense full-tableau simplex.  The entering column is
 the one with the most negative reduced cost (Dantzig's rule), ties
@@ -108,17 +109,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, require_range, scan_fill, solution_cost
+from .instance import Instance, costs_agree, require_range, scan_fill, solution_cost
 
 FEAS_TOL = 1e-7
-DUAL_GAP_REL_TOL = 1e-6
 _PIVOT_EPS = 1e-9
 # consecutive degenerate pivots after which Bland's rule picks the entering column
 _DEGENERATE_RUN = 16
 
 
 class SimplexError(RuntimeError):
-    """Iteration limit, values beyond tolerance or a refuted certificate: a solver bug for these LPs."""
+    """A solver bug for these LPs: iteration limit, singular basis, values beyond tolerance or a refuted certificate."""
 
 
 class LpInfeasibleError(ValueError):
@@ -265,8 +265,12 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     B[:, structural] = -A[:, basis[structural]]
     B[basis[~structural] - nv, np.nonzero(~structural)[0]] = 1.0
     v = np.zeros(ncols)
-    v[basis] = np.linalg.solve(B, -b)
-    return v[:nv], -np.linalg.solve(B.T, cost[basis]), counters
+    try:
+        v[basis] = np.linalg.solve(B, -b)
+        duals = -np.linalg.solve(B.T, cost[basis])
+    except np.linalg.LinAlgError as exc:
+        raise SimplexError(f"the final basis cannot be re-solved: {exc}") from None
+    return v[:nv], duals, counters
 
 
 def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, np.ndarray]:
@@ -318,6 +322,26 @@ def _dual_value(alpha: np.ndarray, inst: Instance, caps: np.ndarray | None) -> f
     return value
 
 
+def _violations(name: str, slack: np.ndarray, what: str, tol: float = FEAS_TOL) -> list[str]:
+    """A message led by the family's name unless the worst (most negative) slack is >= -tol; NaN fails."""
+    w = float(slack.min()) if slack.size else 0.0
+    if w >= -tol:
+        return []
+    idx = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    return [f"{name}: {what} violated by {-w:.3e} at {tuple(int(v) for v in idx)}"]
+
+
+def primal_violations(x: np.ndarray, y: np.ndarray, inst: Instance, caps: np.ndarray | None = None) -> list[str]:
+    """Test (x, y) as a feasible fractional point within FEAS_TOL; one message per failing family:
+    primal_nonneg, linking (x_ij <= y_i), coverage and, under caps, caps (y_i <= cap_i)."""
+    bad = _violations("primal_nonneg", np.concatenate([y, x.ravel()]), "x, y >= 0")
+    bad += _violations("linking", (y[:, None] - x).ravel(), "y_i >= x_ij")
+    bad += _violations("coverage", x.sum(axis=0) - inst.demands, "sum_i x_ij >= r_j")
+    if caps is not None:
+        bad += _violations("caps", np.asarray(caps, float) - y, "y_i <= cap_i")
+    return bad
+
+
 def check_duality(
     primal: FractionalSolution,
     alpha: np.ndarray,
@@ -326,41 +350,22 @@ def check_duality(
 ) -> list[str]:
     """Validate a primal point and coverage duals alpha as a certificate of LP optimality; one message per failure.
 
-    Slack convention: every constraint is written as slack >= 0, and a
-    message led by the family's name reports each family whose worst
-    (most negative) slack is below -1e-7.  alpha is tested with its least
-    extension (dual_terms), which is feasible iff any extension is.  No
-    message means both points are feasible within 1e-7 and the objectives
-    agree within 1e-6 relative, which certifies optimality by weak
-    duality.  Every test passes only on numbers, so a NaN or infinite
-    slack or gap fails it.
+    The primal point is tested by primal_violations; alpha by its least extension (dual_terms),
+    feasible iff any extension is, with the costs alpha >= 0 and the uncapped site budget within
+    FEAS_TOL * inst.cost_unit.  No message means both are feasible and the objectives agree
+    (costs_agree), which certifies optimality by weak duality; a NaN or infinite value fails.
     """
-    messages: list[str] = []
-
-    def family(name: str, slack: np.ndarray, what: str):
-        w = float(slack.min()) if slack.size else 0.0
-        if not w >= -FEAS_TOL:
-            idx = np.unravel_index(int(np.argmin(slack)), slack.shape)
-            messages.append(f"{name}: {what} violated by {-w:.3e} at {tuple(int(v) for v in idx)}")
-
-    family("primal_nonneg", np.concatenate([primal.y, primal.x.ravel()]), "x, y >= 0")
-    family("linking", (primal.y[:, None] - primal.x).ravel(), "y_i >= x_ij")
-    family("coverage", primal.x.sum(axis=0) - inst.demands, "sum_i x_ij >= r_j")
-    if caps is not None:
-        family("caps", np.asarray(caps, float) - primal.y, "y_i <= cap_i")
-    family("dual_nonneg", alpha, "alpha >= 0")
+    messages = primal_violations(primal.x, primal.y, inst, caps)
+    tol = FEAS_TOL * inst.cost_unit
+    messages += _violations("dual_nonneg", alpha, "alpha >= 0", tol)
     if caps is None:  # under caps the least gamma meets every site budget
-        beta = dual_terms(alpha, inst)[0]
-        family("site_budget", inst.site_costs - beta.sum(axis=1), "sum_j max(0, alpha_j - d_ij) <= f_i")
-
-    def agree(value: float, other: float) -> bool:
-        return abs(value - other) <= DUAL_GAP_REL_TOL * (1.0 + abs(value))
-
+        budget = inst.site_costs - dual_terms(alpha, inst)[0].sum(axis=1)
+        messages += _violations("site_budget", budget, "sum_j max(0, alpha_j - d_ij) <= f_i", tol)
     primal_cost = solution_cost(inst, primal.y, primal.x)
     dual_value = _dual_value(alpha, inst, caps)
-    if not agree(primal_cost, primal.objective):
+    if not costs_agree(inst, primal_cost, primal.objective):
         messages.append(f"objective field {primal.objective} disagrees with recomputed cost {primal_cost}")
-    if not agree(primal_cost, dual_value):
+    if not costs_agree(inst, primal_cost, dual_value):
         messages.append(f"duality gap {primal_cost - dual_value:.3e} exceeds tolerance")
     return messages
 
@@ -372,13 +377,12 @@ def trim_to_demand(sol: FractionalSolution, inst: Instance) -> FractionalSolutio
     fill), so this guards an x supplied by the caller: it is refilled
     from itself in scan order (scan_fill), which keeps the cheapest r_j
     units of each column; y is untouched, so linking still holds.
-    Raises ValueError when a client is undercovered.
+    Raises ValueError when primal_violations' coverage family fails (only
+    that one: a negative entry is left for the verifier).
     """
     x = np.asarray(sol.x, dtype=float)
-    have = x.sum(axis=0)
-    short = np.nonzero(have < inst.demands - FEAS_TOL)[0]
-    if short.size:
-        j = int(short[0])
-        raise ValueError(f"client {j} is undercovered: {float(have[j])} < {float(inst.demands[j])}")
+    short = [msg for msg in primal_violations(x, sol.y, inst) if msg.startswith("coverage:")]
+    if short:
+        raise ValueError(short[0])
     x = scan_fill(x, inst)
     return FractionalSolution(x=x, y=np.array(sol.y, dtype=float), objective=solution_cost(inst, sol.y, x))

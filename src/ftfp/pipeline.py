@@ -58,11 +58,8 @@ import numpy as np
 
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
-from .instance import Instance, format_records, read_records, scan_fill, solution_cost
+from .instance import Instance, costs_agree, format_records, read_records, scan_fill, solution_cost
 from .lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
-
-COST_REL_TOL = 1e-6
-_ZERO_COST_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def verify_solution(inst: Instance, sol: IntegralSolution) -> list[str]:
     for j in np.nonzero(got != inst.demands)[0]:
         bad.append(f"client {j} gets {int(got[j])} connections, demand is {int(inst.demands[j])}")
     recomputed = solution_cost(inst, sol.y, sol.x)
-    if abs(recomputed - sol.cost) > COST_REL_TOL * (1.0 + abs(recomputed)):
+    if not costs_agree(inst, recomputed, sol.cost):
         bad.append(f"stated cost {sol.cost} disagrees with recomputed {recomputed}")
     return bad
 
@@ -199,9 +196,9 @@ def split_counts(dec: Decomposition) -> np.ndarray:
 
 
 def _guarded_ratio(num: float, den: float, what: str) -> float:
-    if den > _ZERO_COST_TOL:
+    if den > 0.0:
         return num / den
-    if num <= _ZERO_COST_TOL:
+    if num == 0.0:
         return 0.0
     raise RuntimeError(f"{what} is {num} but its lower bound is zero")
 

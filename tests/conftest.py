@@ -61,6 +61,11 @@ def uniform_demand(inst: Instance, s: int) -> Instance:
     return Instance(inst.site_costs, r, inst.dist, name=f"{inst.name}/uniform{s}")
 
 
+def scaled(inst: Instance, s: float) -> Instance:
+    """Same demands, every opening cost and distance multiplied by s."""
+    return Instance(inst.site_costs * s, inst.demands, inst.dist * s, name=f"{inst.name}/x{s:g}")
+
+
 def random_shape(rng: np.random.Generator, lo: int = 1, hi: int = 6) -> tuple[int, int]:
     """Draw (sites, clients) uniformly from [lo, hi]^2."""
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))

@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from ftfp import lp_core
 from ftfp.ftfl_solvers import CappedInstance, IntegralSolution
-from ftfp.instance import Instance
+from ftfp.instance import COST_REL_TOL, Instance
 
 
 def lp_oracle(inst: Instance, caps: np.ndarray | None = None) -> float:
@@ -315,6 +315,6 @@ def reference_check_duality(
     bad = [name for name, slack in slacks.items() if slack.size and not slack.min() >= -lp_core.FEAS_TOL]
     primal_cost = float(inst.site_costs @ primal.y + (inst.dist * primal.x).sum())
     dual_value = float(inst.demands @ alpha) - (float(np.asarray(caps, float) @ gamma) if caps is not None else 0.0)
-    if not abs(primal_cost - dual_value) <= lp_core.DUAL_GAP_REL_TOL * (1.0 + abs(primal_cost)):
+    if not abs(primal_cost - dual_value) <= COST_REL_TOL * (1.0 + abs(primal_cost)):
         bad.append("gap")
     return bad

@@ -280,6 +280,15 @@ def test_solve_failed_certificate_exits_one(inst_file, monkeypatch, capsys):
     assert "duality check" in capsys.readouterr().err
 
 
+def test_solve_singular_final_basis_exits_one(inst_file, monkeypatch, capsys):
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert main(["solve", "--in", inst_file, "--algo", "reduce"]) == 1
+    assert "final basis" in capsys.readouterr().err
+
+
 def test_oracle_refuses_decomposition_dump(inst_file, tmp_path):
     rc = main([
         "solve", "--in", inst_file, "--algo", "oracle",

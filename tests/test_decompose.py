@@ -16,7 +16,7 @@ from ftfp.decompose import (
     snap,
 )
 from ftfp.instance import Instance, solution_cost
-from ftfp.lp_core import FractionalSolution, build_lp, solve_lp, trim_to_demand
+from ftfp.lp_core import FractionalSolution, build_lp, primal_violations, solve_lp, trim_to_demand
 
 
 def lp_point(inst: Instance) -> FractionalSolution:
@@ -191,19 +191,19 @@ def test_decompose_rejects_shape_mismatch(instance_a):
 
 def test_decompose_rejects_undercoverage(instance_a):
     bad = FractionalSolution(x=np.array([[1.0], [0.0]]), y=np.array([1.0, 0.0]), objective=0.0)
-    with pytest.raises(ValueError, match="undercovered"):
+    with pytest.raises(ValueError, match="coverage"):
         decompose_reduce(bad, instance_a)
 
 
 def test_decompose_rejects_linking_violation(instance_a):
     bad = FractionalSolution(x=np.array([[2.0], [1.0]]), y=np.array([2.0, 0.0]), objective=0.0)
-    with pytest.raises(ValueError, match="x_ij > y_i"):
+    with pytest.raises(ValueError, match="linking"):
         decompose_reduce(bad, instance_a)
 
 
 def test_decompose_rejects_negative_values(instance_a):
     bad = FractionalSolution(x=np.array([[2.0], [-1.0]]), y=np.array([2.0, 0.0]), objective=0.0)
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="primal_nonneg"):
         decompose_large(bad, instance_a)
 
 
@@ -223,3 +223,14 @@ def test_decompose_tolerates_solver_dust(instance_a):
     dec = decompose_large(sol, instance_a)
     assert np.array_equal(dec.yhat, [2, 0])
     assert float(dec.xbar.max()) <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("decompose", [decompose_reduce, decompose_large], ids=["reduce", "large"])
+def test_decompose_accepts_what_the_certificate_accepts(decompose):
+    # x_00 exceeds y_0 by 5e-8, within the primal families' tolerance, and no snap moves it
+    inst = Instance(np.array([1.0, 1.0]), np.array([2]), np.array([[0.1], [0.2]]))
+    sol = FractionalSolution(x=np.array([[1.5 + 5e-8], [0.5 - 5e-8]]), y=np.array([1.5, 0.5]), objective=0.0)
+    assert primal_violations(sol.x, sol.y, inst) == []
+    dec = decompose(sol, inst)
+    assert np.all(dec.xbar <= dec.ybar[:, None])
+    assert np.array_equal(dec.rhat + dec.rbar, inst.demands)

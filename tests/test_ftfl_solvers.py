@@ -268,7 +268,7 @@ def test_exact_returns_lexicographically_smallest_optimum(family, seed):
     assert sol.cost == want_cost
     assert np.array_equal(sol.y, want_y)
     c = sol.counters
-    assert c["pruned_bound"] + c["pruned_infeasible"] <= c["nodes"]
+    assert c["pruned_bound"] <= c["nodes"]
 
 
 @pytest.mark.parametrize("scale", ["zero", "uniform", "huge"])
@@ -438,18 +438,18 @@ def test_node_budget_rejects_bad_values(monkeypatch, raw):
 
 
 def test_exact_dynamic_budget_check(monkeypatch):
-    # all-zero costs disable pruning, so the full tree of 15 nodes is walked
-    # and a budget of 8 refuses it partway
+    # all-zero costs disable pruning, so the whole tree of 14 covering nodes
+    # (every y but the leaf y = 0) is walked and a budget of 8 refuses it partway
     monkeypatch.setenv(NODE_BUDGET_ENV, "8")
     inst = Instance(np.zeros(3), np.array([1]), np.zeros((3, 1)))
     with pytest.raises(BudgetExceededError, match="nodes"):
         solve_exact(to_capped(inst, np.array([1, 1, 1])))
     # with the budget just high enough the same search finishes
-    monkeypatch.setenv(NODE_BUDGET_ENV, "15")
+    monkeypatch.setenv(NODE_BUDGET_ENV, "14")
     sol = solve_exact(to_capped(inst, np.array([1, 1, 1])))
     assert sol.cost == 0.0
-    # no bound beats the zero-cost incumbent; only the leaf y = 0 is infeasible
-    assert sol.counters == {"nodes": 15, "pruned_bound": 0, "pruned_infeasible": 1}
+    # no bound beats the zero-cost incumbent, and the last site's children skip y = 0
+    assert sol.counters == {"nodes": 14, "pruned_bound": 0}
 
 
 # ---------------------------------------------------------------------------

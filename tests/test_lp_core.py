@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_shape, uniform_demand
+from conftest import random_instance, random_shape, scaled, uniform_demand
 from oracles import lp_oracle, reference_check_duality, reference_simplex_min
 
 from ftfp import lp_core
@@ -572,6 +572,23 @@ def test_check_duality_refuses_a_site_budget_the_gap_cannot_see():
     assert reference_check_duality(primal, raised, *dual_terms(raised, inst), inst) == ["site_budget"]
 
 
+def test_certificate_tolerances_follow_the_cost_unit():
+    # at costs of ~1e9 the site budget of this LP's alpha is short by ~2.4e-7, rounding
+    # in the cost unit: an absolute 1e-7 refuted it, FEAS_TOL * cost_unit passes it
+    inst = scaled(generate(GenParams(8, 10, 1, 4, 13)), 1e9)
+    primal, alpha = solve_lp(build_lp(inst))
+    assert check_duality(primal, alpha, inst) == []
+
+
+def test_a_singular_final_basis_is_a_simplex_error(instance_a, monkeypatch):
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SimplexError, match="final basis"):
+        solve_lp(build_lp(instance_a))
+
+
 # ---------------------------------------------------------------------------
 # trimming
 
@@ -618,5 +635,5 @@ def test_trim_rejects_undercoverage(instance_a):
     from ftfp.lp_core import FractionalSolution
 
     thin = FractionalSolution(x=np.array([[1.0], [0.0]]), y=np.array([1.0, 0.0]), objective=0.0)
-    with pytest.raises(ValueError, match="undercovered"):
+    with pytest.raises(ValueError, match="coverage"):
         trim_to_demand(thin, instance_a)
