@@ -26,67 +26,92 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               visited can cover.  A node is tested by two bounds,
               cheapest first; each prunes only when it exceeds the
               incumbent cost by more than PRUNE_MARGIN relative (the
-              cutoff):
+              cutoff).  Both use multipliers alpha_j >= 0 on the
+              coverage rows (CappedInstance.alpha), with
+              beta_ij = max(0, alpha_j - d_ij) and the site budget slack
+              rho_i = f_i - sum_j beta_ij (lp_core's dual_terms).  With
+              the coverage duals of a certified uncapped LP, rho_i >= 0
+              up to rounding.  Neither bound uses optimality of alpha,
+              so both hold for every alpha >= 0.  At a node, D are the
+              decided sites, at v_i, and U the undecided ones, at cap_k.
               1. Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
-                 and Nemhauser 1977).  Relax the coverage rows with
-                 multipliers alpha_j >= 0 (CappedInstance.alpha).  For
-                 fixed y each x_ij in [0, y_i] then costs at least
-                 -y_i max(0, alpha_j - d_ij), so with
-                 rho_i = f_i - sum_j max(0, alpha_j - d_ij), the site
-                 budget slack of the certificate alpha (lp_core's
-                 dual_terms), a node whose
-                 decided sites D are fixed to v_i is bounded below by
+                 and Nemhauser 1977).  Relaxing the coverage rows, each
+                 x_ij in [0, y_i] costs at least -y_i beta_ij, so
                  L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
-                     + sum_{i not in D} min(0, cap_i rho_i),
+                     + sum_{k in U} min(0, cap_k rho_k),
                  the last sum a suffix array over the branching order
                  built once per call and the rest carried down the
                  walk, so the test is O(1).
-                 L is valid for every alpha >= 0.  With the coverage
-                 duals of a certified uncapped LP, the site budget gives
-                 rho_i >= 0 up to rounding, so L at the root is about
-                 sum_j r_j alpha_j, the LP value when the LP is this
-                 instance's.
-                 A CappedInstance built without alpha stores zeros:
-                 then rho = f - 0.0 = f bit for bit (f >= 0), L is the
-                 opening cost of the decided sites in the same float
-                 operations as step 2, and a node it prunes step 2
-                 would prune too, so callers without duals get the
-                 same counters.  Every leaf below a node it prunes
-                 costs more than the incumbent, is never accepted, and
-                 the sequence of incumbents, hence the plan returned,
-                 is the one without this step; the nodes visited are a
-                 subset.
-              2. Opening cost of the decided sites, summed in branching
-                 order, plus the optimal connection cost when every
-                 undecided site is opened to its cap; capacities only
-                 shrink deeper in the tree, so the bound is valid.  It
-                 walks one row per client with demand, built once per
-                 call: r_j and its (site, distance) pairs in scan order
-                 as python ints and floats, so no node indexes a numpy
-                 array.
+              2. Priced bound (Erlenkotter 1978, DUALOC).
+                 B = sum_{i in D} f_i v_i + sum_{k in U} min(0, cap_k rho_k)
+                     + sum_j fill_j,
+                 fill_j being client j's cheapest fill of r_j units when
+                 a decided site i offers v_i units at d_ij and an
+                 undecided site k offers cap_k units at
+                 d_kj + beta_kj = max(d_kj, alpha_j).  Valid: for a leaf
+                 y below the node, f_k = rho_k + sum_j beta_kj gives
+                 cost(y) = f_D v_D + sum_U y_k rho_k
+                           + sum_j [conn_j(y) + sum_U y_k beta_kj],
+                 and if client j takes u_kj <= y_k units at site k, its
+                 bracket is at least sum_D u_ij d_ij
+                 + sum_U u_kj max(d_kj, alpha_j) >= fill_j.  B is at
+                 least L, as every unit costs at least alpha_j - beta_ij.
+                 When every rho_k >= 0 it is also at least the bound that
+                 opens every undecided site to its cap at d_kj for free,
+                 as prices only rise.  The
+                 sites with d_ij < alpha_j (near) are a prefix of client
+                 j's scan order, so each row is split once per call and
+                 the fill takes the decided near sites in scan order, then
+                 the undecided near units at alpha_j each, then the far
+                 sites in scan order at d_ij.  The rows hold r_j, alpha_j
+                 and the (site, distance) pairs as python ints and
+                 floats, so no node indexes a numpy array.
               A leaf's cost is its opening costs summed in index order
-              plus its step-2 connection cost, so it does not depend on
-              the branching order.  The first incumbent, valued the
-              same way, is the LP's fractional opening
-              (CappedInstance.opening) rounded up under the caps,
-              min(ceil(y_i - OPENING_TOL), cap_i).  It covers every
-              client when the LP's connections x fit under the caps:
-              sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j.  When it
-              sums to less than max_j r_j (the cover test), or there is
-              no opening, every site at its cap is the first incumbent
-              instead, which the cap check has proved covers.  The
-              search does not call the greedy solver.  Either incumbent
-              is a leaf of the tree, so it moves the nodes visited and
-              not the plan returned.  A leaf replaces the
-              incumbent when it is strictly cheaper, or when it costs
-              the same and its y is lexicographically smaller in index
-              order, so the plan returned has the lexicographically
-              smallest y among the cheapest leaves, the one that
-              enumerate_optimum returns on exact ties.  The bounds of a
-              leaf's ancestors sum in other orders than its cost and
-              can exceed it by rounding, a few ulps; strict pruning
-              against the incumbent cost would then cut off a leaf that
-              ties the incumbent and is lexicographically smaller.  The
+              plus its fill; every site is decided there, so the fill
+              adds the terms of the scan-order connection cost in scan
+              order, and the cost does not depend on the branching
+              order or on alpha.  A CappedInstance built without alpha
+              stores zeros: then every site is far, rho = f - 0.0 = f
+              bit for bit (f >= 0), L is the opening cost of the
+              decided sites, and B is that plus the connection cost
+              with every undecided site open to its cap.  The first
+              incumbent, valued by the same fill, is the LP's
+              fractional opening (CappedInstance.opening) rounded up
+              under the caps, min(ceil(y_i - OPENING_TOL), cap_i).  It
+              covers every client when the LP's connections x fit under
+              the caps: sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j.
+              When it sums to less than max_j r_j (the cover test), or
+              there is no opening, every site at its cap is the first
+              incumbent instead, which the cap check has proved covers.
+              The search does not call the greedy solver.  Either
+              incumbent is a leaf of the tree, so it moves the nodes
+              visited and not the plan returned.
+              Root reduced-cost fixing: a leaf with y_i = v has
+              L >= free + v rho_i, free = sum_j r_j alpha_j
+              + sum_k min(0, cap_k rho_k) (L at the root, whose term for
+              a site with rho_i > 0 is 0).  So once the first incumbent
+              sets the cutoff, each site with rho_i > 0 and
+              cutoff - free < cap_i rho_i keeps only the v up to
+              max(0, floor((cutoff - free) / rho_i)), testing before it
+              divides so a subnormal rho_i cannot overflow.  This cuts
+              the leaves the Lagrangian test would, only earlier, and
+              tightens B's undecided caps; the suffix array holds only
+              sites with rho_k < 0, so it stays as built.  Caps that sum
+              to less than max_j r_j after fixing (by rounding only) are
+              kept as they were.
+              A leaf replaces the incumbent when it is strictly cheaper,
+              or when it costs the same and its y is lexicographically
+              smaller in index order, so the plan returned has the
+              lexicographically smallest y among the cheapest leaves,
+              the one that enumerate_optimum returns on exact ties.
+              Every leaf a bound or the fixing cuts costs more than the
+              incumbent, so the sequence of incumbents, hence the plan
+              returned, is the one of the search without them, and
+              only the nodes visited change.  The bounds of a leaf's
+              ancestors sum in other orders than its cost and can
+              exceed it by rounding, a few ulps; strict pruning against
+              the incumbent cost would then cut off a leaf that ties
+              the incumbent and is lexicographically smaller.  The
               margin is far wider than that rounding, so every leaf at
               or below the incumbent cost is reached; the nodes it lets
               through whose leaves cost more are visited and none of
@@ -232,12 +257,19 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     n = inst.n
     budget = node_budget()
     _check_caps_cover(ci)
-    # per client with demand: (r_j, [(site, d_ij), ...]) in scan order, as python scalars
-    rows = [
-        (r, [(i, d[i]) for i in order])
-        for r, order, d in zip(inst.demands.tolist(), inst.scan_order.T.tolist(), inst.dist.T.tolist())
-        if r > 0
-    ]
+    # per client with demand: (r_j, alpha_j, near, far), its (site, d_ij) pairs in scan order
+    # as python scalars, split before the first d_ij >= alpha_j (the near sites are a prefix)
+    rows = []
+    for r, a, k, order, d in zip(
+        inst.demands.tolist(),
+        ci.alpha.tolist(),
+        (inst.dist < ci.alpha).sum(axis=0).tolist(),
+        inst.scan_order.T.tolist(),
+        inst.dist.T.tolist(),
+    ):
+        if r > 0:
+            row = [(i, d[i]) for i in order]
+            rows.append((r, a, row[:k], row[k:]))
     f = [float(v) for v in inst.site_costs]
     caps_list = [int(c) for c in caps]
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
@@ -249,18 +281,36 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     for k in reversed(range(n)):
         suffix[k] = suffix[k + 1] + min(0.0, caps_list[perm[k]] * rho[perm[k]])
 
-    def relaxed_connection_cost(capvec: list[int]) -> float:
-        """Connection cost with capvec facilities open; capvec must cover every demand."""
+    def priced_connection_cost(capvec: list[int], decided: list[bool]) -> float:
+        """Sum over clients of the cheapest fill of r_j units: site i offers capvec[i] units
+        at d_ij when decided[i], else at max(d_ij, alpha_j); capvec must cover every demand."""
         total = 0.0
-        for rem, row in rows:
-            for i, d in row:
+        for rem, a, near, far in rows:
+            spare = 0  # the undecided near units, at alpha_j each
+            for i, d in near:
                 c = capvec[i]
-                take = c if c < rem else rem
-                if take:
-                    rem -= take
-                    total += take * d
-                    if rem == 0:
-                        break
+                if decided[i]:
+                    take = c if c < rem else rem
+                    if take:
+                        rem -= take
+                        total += take * d
+                        if rem == 0:
+                            break
+                else:
+                    spare += c
+            if rem and spare:
+                take = spare if spare < rem else rem
+                rem -= take
+                total += take * a
+            if rem:
+                for i, d in far:
+                    c = capvec[i]
+                    take = c if c < rem else rem
+                    if take:
+                        rem -= take
+                        total += take * d
+                        if rem == 0:
+                            break
         return total
 
     def opening_cost_in_index_order(y: list[int]) -> float:
@@ -276,27 +326,37 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         rounded = np.minimum(np.ceil(ci.opening - OPENING_TOL), caps).astype(np.int64).tolist()
         if sum(rounded) >= need:
             best_y = rounded
-    best_cost = opening_cost_in_index_order(best_y) + relaxed_connection_cost(best_y)
+    best_cost = opening_cost_in_index_order(best_y) + priced_connection_cost(best_y, [True] * n)
     cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
+    # reduced-cost fixing: a leaf with y_i = v has a Lagrangian bound of at least the root's
+    # plus v rho_i, so a site with rho_i > 0 keeps only the v that leave it within the cutoff;
+    # suffix sums only sites with rho_i < 0, so it holds for the fixed caps as built
+    slack = cutoff - (lag_root + suffix[0])
+    fixed = caps_list.copy()
+    for i, (c, r) in enumerate(zip(caps_list, rho)):
+        if r > 0.0 and slack < c * r:  # tested first: slack / r overflows when r is subnormal
+            fixed[i] = min(c, math.floor(slack / r)) if slack > 0.0 else 0
+    if sum(fixed) >= need:  # less only by rounding: the incumbent's own bound is below the cutoff
+        caps_list = fixed
     nodes = pruned_bound = 0
     capvec = caps_list.copy()  # decided sites at their opening, undecided ones at their cap
+    decided = [False] * n
 
-    def walk(depth: int, opening_cost: float, lag: float, room: int, conn: float | None):
-        """Visit the node with sites perm[:depth] decided; conn is relaxed_connection_cost(capvec)
-        when the parent already has it (the last child keeps the parent's capvec), else None."""
+    def walk(depth: int, opening_cost: float, lag: float, room: int):
+        """Visit the node with sites perm[:depth] decided."""
         nonlocal best_cost, cutoff, best_y, nodes, pruned_bound
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
-        if lag + suffix[depth] > cutoff:
+        rest = suffix[depth]
+        if lag + rest > cutoff:
             pruned_bound += 1
             return
-        if conn is None:
-            conn = relaxed_connection_cost(capvec)
-        if opening_cost + conn > cutoff:
+        conn = priced_connection_cost(capvec, decided)
+        if opening_cost + rest + conn > cutoff:
             pruned_bound += 1
             return
-        if depth == n:  # capvec is the leaf's opening vector
+        if depth == n:  # capvec is the leaf's opening vector, and conn its connection cost
             cost = opening_cost_in_index_order(capvec) + conn
             if cost < best_cost or (cost == best_cost and capvec < best_y):
                 best_cost = cost
@@ -305,12 +365,14 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             return
         i = perm[depth]
         cap, fi, ri = caps_list[i], f[i], rho[i]
+        decided[i] = True
         for v in range(max(0, need - room + cap), cap + 1):  # the children whose room stays >= need
             capvec[i] = v
-            walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v, conn if v == cap else None)
+            walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v)
+        decided[i] = False
 
     try:
-        walk(0, 0.0, lag_root, sum(caps_list), None)
+        walk(0, 0.0, lag_root, sum(caps_list))
     except RecursionError:
         raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
     yv = np.array(best_y, dtype=np.int64)

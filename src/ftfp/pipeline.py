@@ -31,15 +31,16 @@ the residual (argument in SolveReport), and a residual LP is solved only
 when that certificate is refuted, which large mode can do.
 
 Every exact search gets the certified coverage duals alpha of the main
-LP (CappedInstance.alpha), which its Lagrangian bound prunes with, and
-an LP opening (CappedInstance.opening), which rounded up is its first
-incumbent: solve_oracle's search over the whole instance gets the LP's
-y, and the residual's search in solve_reduce and solve_large gets the
-residual opening ybar (the greedy subroutine ignores both).  Dual
-feasibility does not involve the demands, so alpha stays feasible for
-the residual.  Any alpha >= 0 gives a valid bound and any incumbent is
-a leaf of the search, so the plans are those of the dual-free search
-from any first incumbent.
+LP (CappedInstance.alpha), which both of its bounds prune with (the
+Lagrangian one and the priced connection bound; the root also fixes
+caps by reduced cost), and an LP opening (CappedInstance.opening),
+which rounded up is its first incumbent: solve_oracle's search over the
+whole instance gets the LP's y, and the residual's search in
+solve_reduce and solve_large gets the residual opening ybar (the greedy
+subroutine ignores both).  Dual feasibility does not involve the
+demands, so alpha stays feasible for the residual.  Any alpha >= 0
+gives valid bounds and any incumbent is a leaf of the search, so the
+plans are those of the dual-free search from any first incumbent.
 
 Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
 the proven chain bound with its slack, wall times, and LP and solver

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +450,16 @@ def test_bench_is_deterministic_apart_from_timing(tmp_path):
 
 # ---------------------------------------------------------------------------
 # usage errors
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ftfp", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ftfp ")
 
 
 def test_unknown_flag_exits_two(inst_file):

@@ -307,6 +307,18 @@ def test_exact_answer_does_not_depend_on_the_first_incumbent(family, seed):
         assert np.array_equal(sol.y, want_y)
 
 
+@pytest.mark.parametrize("alpha", [None, np.array([0.05, 0.1])], ids=["dual-free", "duals"])
+def test_reduced_cost_fixing_survives_a_subnormal_rate(alpha):
+    # site 0's rate rho_0 = f_0 = 5e-324 is subnormal, so the cutoff's slack over
+    # it overflows to inf; the fixing leaves such a site's cap alone before dividing
+    inst = Instance(np.array([5e-324, 1.0]), np.array([2, 1]), np.array([[0.5, 0.2], [0.1, 0.9]]))
+    ci = to_capped(inst, np.array([2, 2]), alpha)
+    want_cost, want_y = enumerate_optimum(ci)
+    sol = solve_exact(ci)
+    assert sol.y.tolist() == want_y.tolist() == [2, 0]
+    assert sol.cost == want_cost == 1.2
+
+
 @pytest.fixture(scope="module")
 def oracle_pool() -> list[CappedInstance]:
     """The first 48 instances of the benchmark's oracle-6x12 pool (seeds 7-54)
@@ -385,8 +397,12 @@ def test_certified_duals_keep_the_oracle_pool_plans(oracle_pool_plans):
 
 def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
     # both searches start from the same incumbent, and a pruned subtree holds no
-    # leaf the incumbent would accept, so the search with duals visits a subset
-    # of the dual-free search's nodes
+    # leaf the incumbent would accept, so both accept the same leaves in the same
+    # order and test each node against the same cutoff.  With duals, the priced
+    # bound charges every unit at least what the dual-free bound does, and the
+    # root's reduced-cost fixing only drops values whose Lagrangian bound exceeds
+    # the cutoff (which can only shrink each node's range), so, up to rounding,
+    # the search with duals visits a subset of the dual-free search's nodes
     for free, dual in oracle_pool_plans:
         assert dual.counters["nodes"] <= free.counters["nodes"]
 
@@ -396,10 +412,12 @@ def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
 # while the search branched on sites in index order (1120302 nodes).
 # RESIDUAL_POOL_NODES is the node total since it starts from the residual
 # opening rounded up (70767 from the greedy plan, branching on the dearest
-# sites first as now).  The largest search visits 8961 nodes, so the default
-# budget plans every one.
+# sites first as now), re-recorded when the connection bound came to price
+# undecided sites at max(d_ij, alpha_j) and the root to fix caps by reduced
+# cost (51516 before).  The largest search visits 637 nodes (8961 before), so
+# the default budget plans every one.
 RESIDUAL_POOL_Y_DIGEST = "19e29c54b14b861d67f14d1ed200689f4af14e1b4270cfd84a93592ffa38ede3"
-RESIDUAL_POOL_NODES = 51516
+RESIDUAL_POOL_NODES = 2807
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from oracles import keep_cheapest, lp_oracle
 from ftfp import lp_core, pipeline
 from ftfp.decompose import decompose_large, decompose_reduce, residual_instance
 from ftfp.ftfl_solvers import (
+    NODE_BUDGET_ENV,
     BudgetExceededError,
     IntegralSolution,
     solution_cost,
@@ -386,15 +387,34 @@ def test_report_counters_carry_the_solver_counters():
 # began from the LP's rounded-up opening (12851 from the greedy plan, 51023
 # also in site index order, 146005 also without the Lagrangian bound), and
 # re-recorded when each site's children came to start at the least opening
-# that can still cover (10697 with the 112 uncovering nodes visited).  A
-# change that weakens a bound, stops handing the duals or the opening over,
+# that can still cover (10697 with the 112 uncovering nodes visited), and
+# when the connection bound came to price undecided sites at
+# max(d_ij, alpha_j) and the root to fix caps by reduced cost (10585 before).
+# A change that weakens a bound, stops handing the duals or the opening over,
 # or changes the site order moves it.
-ORACLE_POOL_NODES = 10585
+ORACLE_POOL_NODES = 1161
 
 
 def test_oracle_node_total_is_pinned():
     pool = (generate(GenParams(6, 12, 1, 4, seed)) for seed in range(7, 55))
     assert sum(solve_oracle(inst)[1].counters["oracle"]["nodes"] for inst in pool) == ORACLE_POOL_NODES
+
+
+# Seed-7 searches that a budget of 1000 nodes plans, with cost_total as the
+# search that had no priced bound and no fixing found it (113551 and 625385
+# nodes): the oracle at 30x40 and the exact residual at 50x100.
+@pytest.mark.parametrize(
+    "shape,solve,cost",
+    [
+        ((30, 40), solve_oracle, 27.97249379626449),
+        ((50, 100), lambda inst: solve_reduce(inst, subroutine("exact")), 46.47120118193625),
+    ],
+    ids=["oracle-30x40", "reduce-exact-50x100"],
+)
+def test_seed_7_exact_searches_plan_within_a_thousand_nodes(monkeypatch, shape, solve, cost):
+    monkeypatch.setenv(NODE_BUDGET_ENV, "1000")
+    _, rep = solve(generate(GenParams(*shape, 1, 5, 7)))
+    assert rep.cost_total == cost
 
 
 # Total simplex pivots of the main LP of the greedy solve_reduce over the
