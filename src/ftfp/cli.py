@@ -64,7 +64,10 @@ def _parse_caps(raw: str, n: int) -> np.ndarray:
         raise ValueError(f"caps must look like uniform:K with integer K, got {raw!r}") from None
     if k < 0:
         raise ValueError(f"caps must be >= 0, got {k}")
-    return np.full(n, float(k))
+    try:
+        return np.full(n, float(k))
+    except OverflowError:
+        raise ValueError(f"caps must fit in a float, got a {len(str(k))}-digit K") from None
 
 
 def _fmt(v: float) -> str:

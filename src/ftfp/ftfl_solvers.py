@@ -23,57 +23,52 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               the undecided caps, is at least max_j r_j.  The cap check
               proves that at the root, and site i's children run from
               max(0, max_j r_j - room + cap_i) to cap_i, so every node
-              visited can cover.  A node is tested by two bounds,
-              cheapest first; each prunes only when it exceeds the
-              incumbent cost by more than PRUNE_MARGIN relative (the
-              cutoff).  Both use multipliers alpha_j >= 0 on the
-              coverage rows (CappedInstance.alpha), with
+              visited can cover.  A node is pruned when its bound B
+              exceeds the incumbent cost by more than PRUNE_MARGIN
+              relative (the cutoff).  B uses multipliers alpha_j >= 0 on
+              the coverage rows (CappedInstance.alpha), with
               beta_ij = max(0, alpha_j - d_ij) and the site budget slack
-              rho_i = f_i - sum_j beta_ij (lp_core's dual_terms).  With
-              the coverage duals of a certified uncapped LP, rho_i >= 0
-              up to rounding.  Neither bound uses optimality of alpha,
-              so both hold for every alpha >= 0.  At a node, D are the
-              decided sites, at v_i, and U the undecided ones, at cap_k.
-              1. Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
-                 and Nemhauser 1977).  Relaxing the coverage rows, each
-                 x_ij in [0, y_i] costs at least -y_i beta_ij, so
-                 L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
-                     + sum_{k in U} min(0, cap_k rho_k),
-                 the last sum a suffix array over the branching order
-                 built once per call and the rest carried down the
-                 walk, so the test is O(1).
-              2. Priced bound (Erlenkotter 1978, DUALOC).
+              rho_i = f_i - sum_j beta_ij (lp_core's dual_terms), which
+              is >= 0 up to rounding for the coverage duals of a
+              certified uncapped LP; it holds for every alpha >= 0.  At
+              a node, D are the decided sites, at v_i, and U the
+              undecided ones, at cap_k.  The priced bound (Erlenkotter
+              1978, DUALOC) is
                  B = sum_{i in D} f_i v_i + sum_{k in U} min(0, cap_k rho_k)
                      + sum_j fill_j,
-                 fill_j being client j's cheapest fill of r_j units when
-                 a decided site i offers v_i units at d_ij and an
-                 undecided site k offers cap_k units at
-                 d_kj + beta_kj = max(d_kj, alpha_j).  Valid: for a leaf
-                 y below the node, f_k = rho_k + sum_j beta_kj gives
+              the middle sum a suffix array over the branching order
+              built once per call, and fill_j client j's cheapest fill of
+              r_j units when a decided site i offers v_i units at d_ij
+              and an undecided site k offers cap_k units at
+              d_kj + beta_kj = max(d_kj, alpha_j).  Valid: for a leaf y
+              below the node, f_k = rho_k + sum_j beta_kj gives
                  cost(y) = f_D v_D + sum_U y_k rho_k
                            + sum_j [conn_j(y) + sum_U y_k beta_kj],
-                 and if client j takes u_kj <= y_k units at site k, its
-                 bracket is at least sum_D u_ij d_ij
-                 + sum_U u_kj max(d_kj, alpha_j) >= fill_j.  B is at
-                 least L, as every unit costs at least alpha_j - beta_ij.
-                 When every rho_k >= 0 it is also at least the bound that
-                 opens every undecided site to its cap at d_kj for free,
-                 as prices only rise.  The
-                 sites with d_ij < alpha_j (near) are a prefix of client
-                 j's scan order, so each row is split once per call and
-                 the fill takes the decided near sites in scan order, then
-                 the undecided near units at alpha_j each, then the far
-                 sites in scan order at d_ij.  The rows hold r_j, alpha_j
-                 and the (site, distance) pairs as python ints and
-                 floats, so no node indexes a numpy array.
+              and if client j takes u_kj <= y_k units at site k, its
+              bracket is at least sum_D u_ij d_ij
+              + sum_U u_kj max(d_kj, alpha_j) >= fill_j.  B is at least
+              the Lagrangian bound (Geoffrion 1974; Cornuejols, Fisher
+              and Nemhauser 1977), which relaxes the coverage rows so
+              that each x_ij in [0, y_i] costs at least -y_i beta_ij,
+                 L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
+                     + sum_{k in U} min(0, cap_k rho_k),
+              as every unit costs at least alpha_j - beta_ij, so B alone
+              is tested (L serves only the root's fixing below).  When
+              every rho_k >= 0, B is also at least the bound that opens
+              every undecided site to its cap at d_kj for free, as
+              prices only rise.  The sites with d_ij < alpha_j (near)
+              are a prefix of client j's scan order, so each row is
+              split once per call and the fill takes the decided near
+              sites in scan order, then the undecided near units at
+              alpha_j each, then the far sites in scan order at d_ij.
               A leaf's cost is its opening costs summed in index order
               plus its fill; every site is decided there, so the fill
               adds the terms of the scan-order connection cost in scan
               order, and the cost does not depend on the branching
               order or on alpha.  A CappedInstance built without alpha
               stores zeros: then every site is far, rho = f - 0.0 = f
-              bit for bit (f >= 0), L is the opening cost of the
-              decided sites, and B is that plus the connection cost
+              bit for bit (f >= 0), the suffix is 0, and B is the
+              opening cost of the decided sites plus the connection cost
               with every undecided site open to its cap.  The first
               incumbent, valued by the same fill, is the LP's
               fractional opening (CappedInstance.opening) rounded up
@@ -94,8 +89,8 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               cutoff - free < cap_i rho_i keeps only the v up to
               max(0, floor((cutoff - free) / rho_i)), testing before it
               divides so a subnormal rho_i cannot overflow.  This cuts
-              the leaves the Lagrangian test would, only earlier, and
-              tightens B's undecided caps; the suffix array holds only
+              those leaves before the walk reaches them and tightens
+              B's undecided caps; the suffix array holds only
               sites with rho_k < 0, so it stays as built.  Caps that sum
               to less than max_j r_j after fixing (by rounding only) are
               kept as they were.
@@ -104,7 +99,7 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               smaller in index order, so the plan returned has the
               lexicographically smallest y among the cheapest leaves,
               the one that enumerate_optimum returns on exact ties.
-              Every leaf a bound or the fixing cuts costs more than the
+              Every leaf the bound or the fixing cuts costs more than the
               incumbent, so the sequence of incumbents, hence the plan
               returned, is the one of the search without them, and
               only the nodes visited change.  The bounds of a leaf's
@@ -128,7 +123,7 @@ solve_greedy  Ratio greedy.  Each round either opens one more facility
               improve on the tentative routing.
 
 Both solvers count their work in IntegralSolution.counters: solve_exact
-the nodes visited ("nodes") and those cut by either bound
+the nodes visited ("nodes") and those cut by the bound
 ("pruned_bound"); solve_greedy its rounds, one move each ("rounds").
 
 The exact search is budgeted by the work it does, not by the size of its
@@ -274,9 +269,8 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     caps_list = [int(c) for c in caps]
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
     perm = sorted(range(n), key=lambda i: (-f[i], i))  # branching order: dearest site first
-    # the Lagrangian bound: per-site rates rho_i, and suffix[k] the least the sites perm[k:] add
+    # per-site rates rho_i, and suffix[k] the least the undecided sites perm[k:] add to a bound
     rho = (inst.site_costs - dual_terms(ci.alpha, inst)[0].sum(axis=1)).tolist()
-    lag_root = float(inst.demands @ ci.alpha)
     suffix = [0.0] * (n + 1)
     for k in reversed(range(n)):
         suffix[k] = suffix[k + 1] + min(0.0, caps_list[perm[k]] * rho[perm[k]])
@@ -331,6 +325,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     # reduced-cost fixing: a leaf with y_i = v has a Lagrangian bound of at least the root's
     # plus v rho_i, so a site with rho_i > 0 keeps only the v that leave it within the cutoff;
     # suffix sums only sites with rho_i < 0, so it holds for the fixed caps as built
+    lag_root = float(inst.demands @ ci.alpha)
     slack = cutoff - (lag_root + suffix[0])
     fixed = caps_list.copy()
     for i, (c, r) in enumerate(zip(caps_list, rho)):
@@ -342,18 +337,14 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     capvec = caps_list.copy()  # decided sites at their opening, undecided ones at their cap
     decided = [False] * n
 
-    def walk(depth: int, opening_cost: float, lag: float, room: int):
+    def walk(depth: int, opening_cost: float, room: int):
         """Visit the node with sites perm[:depth] decided."""
         nonlocal best_cost, cutoff, best_y, nodes, pruned_bound
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
-        rest = suffix[depth]
-        if lag + rest > cutoff:
-            pruned_bound += 1
-            return
         conn = priced_connection_cost(capvec, decided)
-        if opening_cost + rest + conn > cutoff:
+        if opening_cost + suffix[depth] + conn > cutoff:
             pruned_bound += 1
             return
         if depth == n:  # capvec is the leaf's opening vector, and conn its connection cost
@@ -364,15 +355,15 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
                 best_y = capvec.copy()
             return
         i = perm[depth]
-        cap, fi, ri = caps_list[i], f[i], rho[i]
+        cap, fi = caps_list[i], f[i]
         decided[i] = True
         for v in range(max(0, need - room + cap), cap + 1):  # the children whose room stays >= need
             capvec[i] = v
-            walk(depth + 1, opening_cost + fi * v, lag + ri * v, room - cap + v)
+            walk(depth + 1, opening_cost + fi * v, room - cap + v)
         decided[i] = False
 
     try:
-        walk(0, 0.0, lag_root, sum(caps_list))
+        walk(0, 0.0, sum(caps_list))
     except RecursionError:
         raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
     yv = np.array(best_y, dtype=np.int64)

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-METRIC_TOL = 1e-9
+METRIC_TOL = 1e-9  # validate's tolerance, relative to the largest distance
 COST_REL_TOL = 1e-6  # costs_agree's tolerance, relative to the cost unit
 # the largest plain upper bound on an instance's optimum (see Instance); the rest of
 # the float range is headroom for the sums the LP, its certificate and the search form
@@ -306,8 +306,9 @@ def validate(inst: Instance) -> list[str]:
     The constructor has already checked the values.  The check is
     O(n^2 m^2) time in O(m^2) memory: the tightest right-hand side
     min_{k,l} (d_il + d_kl + d_kj) is built from two min-reductions, each
-    taken over blocks of sites, and offending entries are reported with
-    the witnessing (i, j, k, l).
+    taken over blocks of sites, and entries above it by more than
+    METRIC_TOL times the largest distance are reported with the
+    witnessing (i, j, k, l), so the verdict does not depend on the scale.
     """
     bad = []
     d = inst.dist
@@ -318,7 +319,7 @@ def validate(inst: Instance) -> list[str]:
     blocks = [d[s : s + step] for s in range(0, inst.n, step)]
     through = reduce(np.minimum, (np.min(b[:, :, None] + b[:, None, :], axis=0) for b in blocks))
     bound = np.concatenate([np.min(b[:, :, None] + through[None, :, :], axis=1) for b in blocks])
-    for i, j in zip(*np.nonzero(d > bound + METRIC_TOL)):
+    for i, j in zip(*np.nonzero(d > bound + METRIC_TOL * float(d.max()))):
         l = int(np.argmin(d[i, :] + through[:, j]))
         k = int(np.argmin(d[:, l] + d[:, j]))
         bad.append(

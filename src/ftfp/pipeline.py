@@ -31,16 +31,16 @@ the residual (argument in SolveReport), and a residual LP is solved only
 when that certificate is refuted, which large mode can do.
 
 Every exact search gets the certified coverage duals alpha of the main
-LP (CappedInstance.alpha), which both of its bounds prune with (the
-Lagrangian one and the priced connection bound; the root also fixes
-caps by reduced cost), and an LP opening (CappedInstance.opening),
-which rounded up is its first incumbent: solve_oracle's search over the
-whole instance gets the LP's y, and the residual's search in
-solve_reduce and solve_large gets the residual opening ybar (the greedy
-subroutine ignores both).  Dual feasibility does not involve the
-demands, so alpha stays feasible for the residual.  Any alpha >= 0
-gives valid bounds and any incumbent is a leaf of the search, so the
-plans are those of the dual-free search from any first incumbent.
+LP (CappedInstance.alpha), which price its one bound (the priced
+connection bound) and fix caps by reduced cost at its root, and an LP
+opening (CappedInstance.opening), which rounded up is its first
+incumbent: solve_oracle's search over the whole instance gets the LP's
+y, and the residual's search in solve_reduce and solve_large gets the
+residual opening ybar (the greedy subroutine ignores both).  Dual
+feasibility does not involve the demands, so alpha stays feasible for
+the residual.  Any alpha >= 0 gives a valid bound and valid fixing, and
+any incumbent is a leaf of the search, so the plans are those of the
+dual-free search from any first incumbent.
 
 Reports carry the LP lower bound, per-stage costs, the subroutine ratio,
 the proven chain bound with its slack, wall times, and LP and solver
@@ -142,7 +142,7 @@ def verify_solution(inst: Instance, sol: IntegralSolution) -> list[str]:
         bad.append(
             f"x[{i},{j}] = {int(sol.x[i, j])} exceeds the {int(sol.y[i])} facilities at site {i}"
         )
-    got = sol.x.sum(axis=0)
+    got = sol.x.sum(axis=0, dtype=object)  # python ints: an int64 sum can wrap back to the demand
     for j in np.nonzero(got != inst.demands)[0]:
         bad.append(f"client {j} gets {int(got[j])} connections, demand is {int(inst.demands[j])}")
     recomputed = solution_cost(inst, sol.y, sol.x)

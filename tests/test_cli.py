@@ -17,7 +17,7 @@ from ftfp import cli, lp_core, pipeline
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
-from ftfp.instance import parse_instance
+from ftfp.instance import Instance, parse_instance
 from ftfp.lp_core import build_lp, candidate_pairs, solve_lp, trim_to_demand
 from ftfp.pipeline import parse_solution
 
@@ -161,6 +161,11 @@ def test_lp_dump_is_zero_off_candidate_pairs(tmp_path):
 def test_lp_rejects_bad_caps_syntax(inst_file):
     assert main(["lp", "--in", inst_file, "--caps", "each:3"]) == 2
     assert main(["lp", "--in", inst_file, "--caps", "uniform:x"]) == 2
+
+
+def test_lp_caps_beyond_the_float_range_are_a_usage_error(inst_file, capsys):
+    assert main(["lp", "--in", inst_file, "--caps", "uniform:" + "9" * 400]) == 2
+    assert "caps must fit in a float, got a 400-digit K" in capsys.readouterr().err
 
 
 def test_lp_infeasible_caps_exit_code(inst_file):
@@ -389,6 +394,20 @@ def test_verify_count_beyond_int64_is_usage_error(inst_file, tmp_path, capsys):
     sol.write_text(f"ftfp-sol 1\n2 1\n{10**23} 0\n2\n0\n")
     assert main(["verify", "--in", inst_file, "--sol", str(sol)]) == 2
     assert "line 3: opening count must be >= 0 and below 2^63" in capsys.readouterr().err
+
+
+def test_verify_counts_connections_without_wrapping(tmp_path, capsys):
+    # the column sums to 2^64 + 1, which an int64 sum wraps to the demand 1
+    inst = tmp_path / "w.ftfp"
+    inst.write_text(serialize_instance(Instance([0.5, 0.5, 0.5], [1], [[0.1], [0.2], [0.3]])))
+    counts = [6148914691236517205, 6148914691236517206, 6148914691236517206]
+    sol = tmp_path / "w.sol"
+    rows = [" ".join(map(str, counts)), *map(str, counts)]  # y, then one row of x per site
+    sol.write_text("ftfp-sol 1\n3 1\n" + "".join(f"{row}\n" for row in rows))
+    assert main(["verify", "--in", str(inst), "--sol", str(sol)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "violation: client 0 gets 18446744073709551617 connections, demand is 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_exact_returns_lexicographically_smallest_optimum(family, seed):
 @pytest.mark.parametrize("family", ["zero", "grid", "colocated"])
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_answer_does_not_depend_on_the_multipliers(family, seed, scale):
-    # the Lagrangian bound holds for every alpha >= 0, so no choice may move the answer
+    # the priced bound and the root's fixing hold for every alpha >= 0, so no choice may move the answer
     ci = grid_instance(np.random.default_rng(14000 + seed), family)
     inst = ci.base
     top = max(1.0, float(inst.dist.max()))
@@ -415,9 +415,12 @@ def test_certified_duals_never_visit_more_nodes(oracle_pool_plans):
 # sites first as now), re-recorded when the connection bound came to price
 # undecided sites at max(d_ij, alpha_j) and the root to fix caps by reduced
 # cost (51516 before).  The largest search visits 637 nodes (8961 before), so
-# the default budget plans every one.
+# the default budget plans every one.  RESIDUAL_POOL_PRUNED is the total of
+# counters["pruned_bound"], recorded alongside it while the walk still tested
+# the Lagrangian bound before the priced one.
 RESIDUAL_POOL_Y_DIGEST = "19e29c54b14b861d67f14d1ed200689f4af14e1b4270cfd84a93592ffa38ede3"
 RESIDUAL_POOL_NODES = 2807
+RESIDUAL_POOL_PRUNED = 1518
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +432,7 @@ def residual_pool_plans(residual_pools):
 def test_exact_plans_and_nodes_are_pinned_on_the_residual_pool(residual_pool_plans):
     assert y_digest(residual_pool_plans) == RESIDUAL_POOL_Y_DIGEST
     assert sum(plan.counters["nodes"] for plan in residual_pool_plans) == RESIDUAL_POOL_NODES
+    assert sum(plan.counters["pruned_bound"] for plan in residual_pool_plans) == RESIDUAL_POOL_PRUNED
 
 
 def test_every_residual_of_the_pool_plans_no_dearer_than_greedy(residual_pools, residual_pool_plans):

@@ -218,13 +218,36 @@ def test_validate_metric_agrees_with_quadruple_loop(seed):
         assert ours_bad
 
 
+# validate's tolerance is measured in the largest distance, so neither test depends on the scale
+def test_metric_check_accepts_points_on_a_line_up_to_1e12():
+    # points on a line form a metric; d = |s - c| rounds each entry by up to an ulp
+    # of 1e12, far above an absolute 1e-9
+    rng = np.random.default_rng(0)
+    sites, clients = rng.uniform(0.0, 1e12, 20), rng.uniform(0.0, 1e12, 30)
+    d = np.abs(sites[:, None] - clients[None, :])
+    line = Instance(np.ones(20), np.ones(30, dtype=np.int64), d)
+    assert validate(line) == []
+    d = d.copy()
+    d[0, 0] = d[0, 1] + d[1, 1] + d[1, 0] + 1e-6 * d.max()  # a real violation still shows at scale
+    broken = Instance(line.site_costs, line.demands, d)
+    assert any(msg.startswith("metric violated at d[0,0]") for msg in validate(broken))
+
+
+def test_metric_check_flags_a_violation_at_scale_1e_minus_10():
+    # at 1e-10, d_11 is 33 times its path, well inside an absolute 1e-9
+    tiny = Instance(np.ones(2), np.ones(2, dtype=np.int64), [[1e-12, 1e-12], [1e-12, 1e-10]])
+    assert validate(tiny) == [
+        "metric violated at d[1,1] = 1e-10: d[1,0] + d[0,0] + d[0,1] = 3e-12 (sites 1,0, clients 1,0)"
+    ]
+
+
 def unchunked_metric_messages(inst: Instance) -> list[str]:
     """The metric check over whole (n, m, m) arrays, as validate did before it went by blocks of sites."""
     d = inst.dist
     through = np.min(d[:, :, None] + d[:, None, :], axis=0)
     bound = np.min(d[:, :, None] + through[None, :, :], axis=1)
     bad = []
-    for i, j in zip(*np.nonzero(d > bound + 1e-9)):
+    for i, j in zip(*np.nonzero(d > bound + 1e-9 * d.max())):
         l = int(np.argmin(d[i, :] + through[:, j]))
         k = int(np.argmin(d[:, l] + d[:, j]))
         bad.append(

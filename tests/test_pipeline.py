@@ -391,13 +391,18 @@ def test_report_counters_carry_the_solver_counters():
 # when the connection bound came to price undecided sites at
 # max(d_ij, alpha_j) and the root to fix caps by reduced cost (10585 before).
 # A change that weakens a bound, stops handing the duals or the opening over,
-# or changes the site order moves it.
+# or changes the site order moves it.  ORACLE_POOL_PRUNED is the total of
+# counters["pruned_bound"] over the same solves, recorded alongside it while
+# the walk still tested the Lagrangian bound before the priced one.
 ORACLE_POOL_NODES = 1161
+ORACLE_POOL_PRUNED = 774
 
 
 def test_oracle_node_total_is_pinned():
     pool = (generate(GenParams(6, 12, 1, 4, seed)) for seed in range(7, 55))
-    assert sum(solve_oracle(inst)[1].counters["oracle"]["nodes"] for inst in pool) == ORACLE_POOL_NODES
+    searches = [solve_oracle(inst)[1].counters["oracle"] for inst in pool]
+    assert sum(c["nodes"] for c in searches) == ORACLE_POOL_NODES
+    assert sum(c["pruned_bound"] for c in searches) == ORACLE_POOL_PRUNED
 
 
 # Seed-7 searches that a budget of 1000 nodes plans, with cost_total as the
