@@ -10,8 +10,8 @@ The root exports the solve entry points, their inputs, results and
 errors; every other name is imported from the module that defines it.
 """
 
-from .ftfl_solvers import BudgetExceededError, InfeasibleError, IntegralSolution, subroutine
-from .instance import GenParams, Instance, generate
+from .ftfl_solvers import BudgetExceededError, IntegralSolution, subroutine
+from .instance import GenParams, InfeasibleError, Instance, generate
 from .pipeline import SolveReport, solve_large, solve_oracle, solve_reduce, verify_solution
 
 __all__ = [

@@ -5,10 +5,10 @@ command is non-interactive and exits with a stable code:
 
     0  success (for verify: the plan is feasible)
     1  verification failure, a pipeline's own output failed its
-       internal re-verification, or an LP bound failed its duality
-       certificate
+       internal re-verification, or the simplex failed (an unbounded
+       dual, or an LP bound that failed its duality certificate)
     2  bad usage: unknown flags, unreadable or malformed files, invalid
-       parameter combinations, invalid instances
+       parameter combinations, invalid instances, infeasible caps
     3  the work does not fit: the exact search visited more nodes than
        its budget (FTFP_NODE_BUDGET, default 10^7) or recursed deeper
        than Python allows, or the process ran out of memory
@@ -62,8 +62,6 @@ def _parse_caps(raw: str, n: int) -> np.ndarray:
         k = int(value)
     except ValueError:
         raise ValueError(f"caps must look like uniform:K with integer K, got {raw!r}") from None
-    if k < 0:
-        raise ValueError(f"caps must be >= 0, got {k}")
     try:
         return np.full(n, float(k))
     except OverflowError:

@@ -20,7 +20,7 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               alone, so searches with and without multipliers branch
               alike.  Any client may use any site, so a subtree can
               serve everyone iff its room, the decided openings plus
-              the undecided caps, is at least max_j r_j.  The cap check
+              the undecided caps, is at least max_j r_j.  The cover rule
               proves that at the root, and site i's children run from
               max(0, max_j r_j - room + cap_i) to cap_i, so every node
               visited can cover.  A node is pruned when its bound B
@@ -77,7 +77,7 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               the caps: sum_i min(ceil y_i, cap_i) >= sum_i x_ij = r_j.
               When it sums to less than max_j r_j (the cover test), or
               there is no opening, every site at its cap is the first
-              incumbent instead, which the cap check has proved covers.
+              incumbent instead, which the cover rule has proved covers.
               The search does not call the greedy solver.  Either
               incumbent is a leaf of the tree, so it moves the nodes
               visited and not the plan returned.
@@ -142,7 +142,7 @@ from typing import Callable
 
 import numpy as np
 
-from .instance import Instance, as_counts, require_range, scan_fill, solution_cost
+from .instance import InfeasibleError, Instance, as_counts, as_reals, require_cover, scan_fill, solution_cost
 from .lp_core import dual_terms
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
@@ -153,17 +153,14 @@ PRUNE_MARGIN = 1e-9
 OPENING_TOL = 1e-9
 
 
-class InfeasibleError(ValueError):
-    """Total capacity cannot meet some client's demand."""
-
-
 class BudgetExceededError(RuntimeError):
     """The exact search visited more nodes than the budget, or recursed deeper than Python allows."""
 
 
 @dataclass(frozen=True)
 class CappedInstance:
-    """An instance plus per-site opening caps: open at most caps_i at site i."""
+    """An instance plus per-site opening caps (open at most caps_i at site i), kept as read-only
+    copies; caps that cannot serve the largest demand raise InfeasibleError (require_cover)."""
 
     base: Instance
     caps: np.ndarray  # (n,) int
@@ -172,20 +169,11 @@ class CappedInstance:
 
     def __post_init__(self):
         n, m = self.base.n, self.base.m
-        alpha = self.alpha if self.alpha is not None else np.zeros(m)
-        kept = {"caps": as_counts(np.asarray(self.caps), "caps", (n,)), "alpha": _finite_nonnegative(alpha, m, "alpha")}
+        object.__setattr__(self, "caps", as_counts(self.caps, "caps", (n,)))
+        require_cover(self.base, self.caps)
+        object.__setattr__(self, "alpha", as_reals(np.zeros(m) if self.alpha is None else self.alpha, "alpha", (m,)))
         if self.opening is not None:
-            kept["opening"] = _finite_nonnegative(self.opening, n, "opening")
-        for attr, a in kept.items():
-            a.setflags(write=False)
-            object.__setattr__(self, attr, a)
-
-
-def _finite_nonnegative(values, size: int, what: str) -> np.ndarray:
-    """A new float64 copy of values; ValueError unless it is a finite nonnegative vector of length size."""
-    a = np.array(values, dtype=np.float64)
-    require_range(what, a, math.inf, f"{what} finite and >= 0", (size,))
-    return a
+            object.__setattr__(self, "opening", as_reals(self.opening, "opening", (n,)))
 
 
 def to_capped(
@@ -236,22 +224,11 @@ def _assign(y: np.ndarray, inst: Instance) -> np.ndarray:
     return x
 
 
-def _check_caps_cover(ci: CappedInstance) -> None:
-    """Raise InfeasibleError when all caps together cannot serve the largest demand."""
-    total = int(ci.caps.sum())
-    if total < ci.base.max_demand:
-        j = int(np.argmax(ci.base.demands))
-        raise InfeasibleError(
-            f"client {j} needs {ci.base.max_demand} distinct facilities, caps sum to {total}"
-        )
-
-
 def solve_exact(ci: CappedInstance) -> IntegralSolution:
     """Provably optimal plan by branch and bound over opening vectors."""
     inst, caps = ci.base, ci.caps
     n = inst.n
     budget = node_budget()
-    _check_caps_cover(ci)
     # per client with demand: (r_j, alpha_j, near, far), its (site, d_ij) pairs in scan order
     # as python scalars, split before the first d_ij >= alpha_j (the near sites are a prefix)
     rows = []
@@ -314,7 +291,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         return total
 
     # the first incumbent, valued in the leaf arithmetic of the walk below: the LP opening
-    # rounded up under the caps, or every site at its cap, which _check_caps_cover proved covers
+    # rounded up under the caps, or every site at its cap, which require_cover proved covers
     best_y = caps_list.copy()
     if ci.opening is not None:
         rounded = np.minimum(np.ceil(ci.opening - OPENING_TOL), caps).astype(np.int64).tolist()
@@ -376,7 +353,6 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
     """Fast feasible plan; no optimality guarantee, used as a drop-in subroutine."""
     inst = ci.base
     n, m = inst.n, inst.m
-    _check_caps_cover(ci)
     caps = [int(c) for c in ci.caps]
     demands = [int(r) for r in inst.demands]
     f = [float(v) for v in inst.site_costs]

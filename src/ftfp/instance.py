@@ -62,13 +62,41 @@ def require_range(what: str, values: np.ndarray, end: float, need: str, shape: t
         raise ValueError(f"{what}[{','.join(map(str, at))}] = {values[at]} violates {need}")
 
 
-def as_counts(values: np.ndarray, what: str, shape: tuple | None = None) -> np.ndarray:
-    """A new int64 copy of a nonempty array; ValueError unless it has shape `shape` (when given)
-    and every entry is an integer in [0, 2^63)."""
-    if values.dtype.kind != "i" and not np.array_equal(np.rint(values), values):
+def as_counts(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """A fresh read-only int64 copy of a nonempty array; ValueError unless it has shape `shape`
+    (when given) and every entry is an integer in [0, 2^63) (a bool or a string is not)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf" or (a.dtype.kind != "i" and not np.array_equal(np.rint(a), a)):
         raise ValueError(f"{what} must be integers")
-    require_range(what, values, 2**63, f"0 <= {what} < 2^63", shape)
-    return values.astype(np.int64)
+    require_range(what, a, 2**63, f"0 <= {what} < 2^63", shape)
+    a = a.astype(np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def as_reals(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """A fresh read-only float64 copy of a nonempty array; ValueError unless it has shape `shape`
+    (when given) and every entry is a finite real >= 0 (a bool or a string is not)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be reals")
+    a = a.astype(np.float64)
+    require_range(what, a, math.inf, f"{what} finite and >= 0", shape)
+    a.setflags(write=False)
+    return a
+
+
+class InfeasibleError(ValueError):
+    """Total capacity cannot meet some client's demand."""
+
+
+def require_cover(inst: Instance, caps: np.ndarray) -> None:
+    """Raise InfeasibleError unless the caps sum to at least max_j r_j, which decides whether they
+    admit a plan, integral or fractional (y = caps, x_ij = cap_i r_j / sum caps)."""
+    total = sum(caps.tolist())  # python ints: an int64 sum can wrap below the demand
+    if total < inst.max_demand:
+        j = int(np.argmax(inst.demands))
+        raise InfeasibleError(f"client {j} needs {inst.max_demand} distinct facilities, caps sum to {total}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +109,7 @@ class Instance:
     facilities at every site plus each client's demand at its farthest site,
     max_j r_j * sum_i f_i + sum_j r_j max_i d_ij, reaches COST_LIMIT, or
     when a sum in it overflows: such values overflow the LP and its
-    certificate.
+    certificate.  It keeps read-only copies; the caller's arrays are left alone.
     """
 
     site_costs: np.ndarray  # (n,) float
@@ -90,16 +118,13 @@ class Instance:
     name: str = ""
 
     def __post_init__(self):
-        f = np.asarray(self.site_costs, dtype=float)
-        d = np.asarray(self.dist, dtype=float)
-        r = np.asarray(self.demands)
-        if f.ndim != 1 or r.ndim != 1 or d.shape != (f.size, r.size):
+        fs, rs, ds = (np.shape(a) for a in (self.site_costs, self.demands, self.dist))
+        if len(fs) != 1 or len(rs) != 1 or ds != fs + rs:
             raise ValueError("shape mismatch: need f (n,), r (m,), d (n, m)")
-        if f.size < 1 or r.size < 1:
+        if not fs[0] or not rs[0]:
             raise ValueError("need at least one site and one client")
-        require_range("site_costs", f, math.inf, "f_i finite and >= 0")
-        require_range("dist", d, math.inf, "d_ij finite and >= 0")
-        r = as_counts(r, "demands")
+        f, d = as_reals(self.site_costs, "site_costs"), as_reals(self.dist, "dist")
+        r = as_counts(self.demands, "demands")
         # the LP takes demands as float64, which holds every integer up to 2^53 exactly
         require_range("demands", r, 2**53 + 1, "r_j <= 2^53")
         with np.errstate(over="ignore"):  # a sum that overflows is inf, refused below
@@ -110,7 +135,6 @@ class Instance:
                 f"is {bound:.3g}, not below {COST_LIMIT:.0e}"
             )
         for attr, a in (("site_costs", f), ("demands", r), ("dist", d)):
-            a.setflags(write=False)
             object.__setattr__(self, attr, a)
 
     @property
@@ -304,11 +328,12 @@ def validate(inst: Instance) -> list[str]:
     """Check the bipartite metric condition; returns one message per violation.
 
     The constructor has already checked the values.  The check is
-    O(n^2 m^2) time in O(m^2) memory: the tightest right-hand side
+    O(n m^2) time in O(m^2) memory: the tightest right-hand side
     min_{k,l} (d_il + d_kl + d_kj) is built from two min-reductions, each
-    taken over blocks of sites, and entries above it by more than
-    METRIC_TOL times the largest distance are reported with the
-    witnessing (i, j, k, l), so the verdict does not depend on the scale.
+    taken over blocks of sites and adding one (m, m) slab per site, and
+    entries above it by more than METRIC_TOL times the largest distance
+    are reported with the witnessing (i, j, k, l), so the verdict does
+    not depend on the scale.
     """
     bad = []
     d = inst.dist

@@ -52,10 +52,10 @@ one optimality cut per kept pair.  build_lp returns its dual as min
 c.v, A v >= b, v >= 0: a row per y_i and per theta_j, a column per
 lambda_j, mu_lj and gamma_i, c = -(r_j, r_j d_lj, -cap_i) and b =
 -(f, 1).  As f >= 0, b <= 0 and the slack basis v = 0 is feasible, so
-the simplex needs no phase 1.  Infeasible caps leave the cut form with
-no feasible point while v = 0 stays feasible for its dual, so the dual
-is unbounded; the simplex finds that as an entering column with no
-positive entry and raises LpInfeasibleError.
+the simplex needs no phase 1.  The cut form is feasible iff the caps
+sum to at least max_j r_j, and build_lp refuses caps that do not
+(instance.require_cover), so the dual of every LP it returns is bounded:
+an unbounded one is a solver failure, and the simplex raises SimplexError.
 
 solve_lp maps the optimum back to the paper's variables.  y is the
 multiplier vector of the y rows.  x_ij fills each client's demand from
@@ -104,12 +104,11 @@ accumulated pivot drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, costs_agree, require_range, scan_fill, solution_cost
+from .instance import Instance, as_reals, costs_agree, require_cover, scan_fill, solution_cost
 
 FEAS_TOL = 1e-7
 _PIVOT_EPS = 1e-9
@@ -118,11 +117,7 @@ _DEGENERATE_RUN = 16
 
 
 class SimplexError(RuntimeError):
-    """A solver bug for these LPs: iteration limit, singular basis, values beyond tolerance or a refuted certificate."""
-
-
-class LpInfeasibleError(ValueError):
-    """The dual is unbounded, so the relaxation has no feasible point."""
+    """A solver bug: iteration limit, unbounded dual, singular basis, values beyond tolerance or refuted certificate."""
 
 
 @dataclass(frozen=True)
@@ -175,14 +170,15 @@ def build_lp(inst: Instance, caps: np.ndarray | None = None) -> LinearProgram:
 
     Uncapped, each client keeps only its candidate_pairs sites, which
     leaves the optimum unchanged; capped, every pair is kept, as the
-    mask is proven for uncapped LPs only.
+    mask is proven for uncapped LPs only, and caps that cannot serve the
+    largest demand raise InfeasibleError.
     """
     n, m = inst.n, inst.m
     if caps is None:
         pairs = candidate_pairs(inst)
     else:
-        caps = np.asarray(caps, dtype=float)
-        require_range("caps", caps, math.inf, "cap_i finite and >= 0", (n,))
+        caps = as_reals(caps, "caps", (n,))
+        require_cover(inst, caps)
         pairs = np.ones((n, m), dtype=bool)
     site, client = np.nonzero(pairs)  # kept pair t is the cut of (l, j) = (site[t], client[t])
     k = site.size
@@ -241,7 +237,7 @@ def _simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
                     if row < 0 or q < rmin or (q == rmin and basic[i] < basic[row]):
                         row, rmin = i, q
         if row < 0:
-            raise LpInfeasibleError("no feasible point (the dual is unbounded)")
+            raise SimplexError("the dual is unbounded, which no LP that passed the cover rule can be")
         T[row] /= column[row]
         hit.remove(row)
         hit = np.array(hit, dtype=np.intp)

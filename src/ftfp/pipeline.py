@@ -86,6 +86,8 @@ class SolveReport:
     nodes, greedy rounds; see ftfl_solvers).
     decomposition is the one solve_reduce and solve_large rounded (None
     from solve_oracle); it is left out of the JSON and of comparisons.
+    chain_slack, chain_bound - cost_total, can read a few ulps below 0 when
+    the bound is tight; beyond costs_agree's tolerance the flow raises.
     """
 
     algo: str  # "reduce" | "large" | "oracle"
@@ -163,7 +165,7 @@ def _report(
     inst: Instance, algo: str, plan: IntegralSolution, wall: dict[str, float], t_total: float,
     counters: dict[str, dict[str, float]], *, lp_star: float, chain_bound: float, **stages,
 ) -> tuple[IntegralSolution, SolveReport]:
-    """The tail every flow shares: verify the plan, take its ratio to lp_star, report.
+    """The tail every flow shares: verify the plan, check it against chain_bound, take its ratio to lp_star, report.
 
     stages holds the report fields only the flow knows: the stage costs,
     lp_star_residual, rho_sub and the decomposition.
@@ -171,6 +173,8 @@ def _report(
     t = time.perf_counter()
     plan = _verified(inst, plan, algo)
     wall["verify"] = time.perf_counter() - t
+    if not (plan.cost <= chain_bound or costs_agree(inst, plan.cost, chain_bound)):
+        raise RuntimeError(f"{algo} plan costs {plan.cost}, above its chain bound {chain_bound}")
     ratio_total = _guarded_ratio(plan.cost, lp_star, "total cost")
     if ratio_total == 0.0:
         ratio_total = 1.0  # zero-cost instance solved at zero cost

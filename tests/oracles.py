@@ -255,7 +255,7 @@ def reference_simplex_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
             col = int(np.argmin(np.where(eligible, red, np.inf)))  # Dantzig, lowest index on ties
         pos = T[:, col] > _PIVOT_EPS
         if not pos.any():
-            raise lp_core.LpInfeasibleError("no feasible point (the dual is unbounded)")
+            raise lp_core.SimplexError("the dual is unbounded, which no LP that passed the cover rule can be")
         ratios = np.full(nrows, np.inf)
         ratios[pos] = T[pos, -1] / T[pos, col]
         rmin = ratios.min()

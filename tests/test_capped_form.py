@@ -9,7 +9,7 @@ from conftest import random_instance
 from oracles import enumerate_optimum, lp_oracle, materialize_split, merge_solution
 
 from ftfp.decompose import decompose_large, decompose_reduce
-from ftfp.ftfl_solvers import CappedInstance, IntegralSolution, solve_exact, to_capped
+from ftfp.ftfl_solvers import CappedInstance, InfeasibleError, IntegralSolution, solve_exact, solve_greedy, to_capped
 from ftfp.instance import solution_cost
 from ftfp.lp_core import build_lp, solve_lp, trim_to_demand
 from ftfp.pipeline import split_counts
@@ -38,6 +38,23 @@ def test_capped_instance_validates_caps(instance_a):
         with pytest.raises(ValueError, match="caps"):
             CappedInstance(base=instance_a, caps=np.array(caps))
     assert CappedInstance(base=instance_a, caps=np.array([2.0, 0.0])).caps.tolist() == [2, 0]
+
+
+def test_bool_caps_are_a_value_error(instance_a):
+    with pytest.raises(ValueError, match="caps must be integers"):
+        CappedInstance(base=instance_a, caps=np.array([True, True]))
+
+
+def test_capped_instance_refuses_caps_that_cannot_cover(instance_a):
+    # the cover rule runs when the instance is built, before any solver sees it
+    with pytest.raises(InfeasibleError, match="client 0 needs 2 distinct facilities, caps sum to 1$"):
+        CappedInstance(base=instance_a, caps=np.array([1, 0]))
+
+
+def test_the_cover_rule_sums_caps_without_wrapping(instance_a):
+    # 2^62 + 2^62 wraps to -2^63 in int64, which would read as too few facilities
+    ci = CappedInstance(base=instance_a, caps=np.array([2**62, 2**62]))
+    assert np.array_equal(solve_greedy(ci).y, [2, 0])
 
 
 def test_to_capped(instance_b):

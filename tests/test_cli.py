@@ -17,11 +17,11 @@ from ftfp import cli, lp_core, pipeline
 from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
-from ftfp.instance import Instance, parse_instance
+from ftfp.instance import GenParams, Instance, generate, parse_instance
 from ftfp.lp_core import build_lp, candidate_pairs, solve_lp, trim_to_demand
 from ftfp.pipeline import parse_solution
 
-from conftest import INSTANCE_A, random_instance
+from conftest import INSTANCE_A, random_instance, scaled
 from ftfp.instance import serialize_instance
 
 
@@ -163,14 +163,20 @@ def test_lp_rejects_bad_caps_syntax(inst_file):
     assert main(["lp", "--in", inst_file, "--caps", "uniform:x"]) == 2
 
 
+def test_lp_negative_caps_are_a_usage_error(inst_file, capsys):
+    assert main(["lp", "--in", inst_file, "--caps", "uniform:-1"]) == 2
+    assert "caps[0] = -1.0 violates caps finite and >= 0" in capsys.readouterr().err
+
+
 def test_lp_caps_beyond_the_float_range_are_a_usage_error(inst_file, capsys):
     assert main(["lp", "--in", inst_file, "--caps", "uniform:" + "9" * 400]) == 2
     assert "caps must fit in a float, got a 400-digit K" in capsys.readouterr().err
 
 
-def test_lp_infeasible_caps_exit_code(inst_file):
-    # demand 2 against a single allowed facility across both sites
+def test_lp_infeasible_caps_exit_code(inst_file, capsys):
+    # demand 2 against caps that sum to 0: the cover rule refuses them before any LP
     assert main(["lp", "--in", inst_file, "--caps", "uniform:0"]) == 2
+    assert "client 0 needs 2 distinct facilities, caps sum to 0.0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +302,15 @@ def test_solve_singular_final_basis_exits_one(inst_file, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "solve", singular)
     assert main(["solve", "--in", inst_file, "--algo", "reduce"]) == 1
     assert "final basis" in capsys.readouterr().err
+
+
+def test_solve_unbounded_dual_exits_one(tmp_path, capsys):
+    # an uncapped LP always has an optimum; at f and d times 1e12 the simplex's absolute
+    # pivot tolerance meets an unbounded dual on seed 11, a solver failure, not bad input
+    path = tmp_path / "x1e12.ftfp"
+    path.write_text(serialize_instance(scaled(generate(GenParams(8, 10, 1, 4, 11)), 1e12)))
+    assert main(["solve", "--in", str(path), "--algo", "oracle"]) == 1
+    assert "the dual is unbounded" in capsys.readouterr().err
 
 
 def test_oracle_refuses_decomposition_dump(inst_file, tmp_path):

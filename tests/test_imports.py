@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,15 @@ def test_every_imported_name_is_used(path):
     unused = {name for name in imported_names(tree) - used if (path.stem, name) not in BOUND_FOR_BENCHMARK}
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
 
+
+def test_importing_the_package_loads_no_front_end_and_no_scipy():
+    # the benchmark's setup_s pays for `import ftfp`: the CLI with its argparse and
+    # csv loads only when it is asked for, and scipy (a test-only oracle) never
+    src = str(Path(ftfp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ftfp; print(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "ftfp.pipeline" in loaded
+    assert not loaded & {"ftfp.cli", "argparse", "csv", "scipy"}

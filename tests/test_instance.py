@@ -34,6 +34,28 @@ def test_instance_arrays_are_read_only(instance_a):
         instance_a.dist[0, 0] = 99.0
 
 
+def test_instance_keeps_its_own_copies():
+    f, r, d = np.array([1.0, 2.0]), np.array([2]), np.array([[1.0], [2.0]])
+    inst = Instance(f, r, d)
+    for mine, kept in ((f, inst.site_costs), (r, inst.demands), (d, inst.dist)):
+        assert not np.shares_memory(mine, kept)
+        assert mine.flags.writeable and not kept.flags.writeable
+    f[0] = 5.0  # the caller's array stays writable, and the instance does not see the write
+    assert inst.site_costs[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("demands", [True]), ("demands", ["2"]), ("site_costs", [True]), ("dist", [["1.0"]])],
+    ids=["bool-demand", "str-demand", "bool-cost", "str-distance"],
+)
+def test_bool_and_string_entries_are_a_value_error(field, values):
+    arrays = {"site_costs": np.array([1.0]), "demands": np.array([2]), "dist": np.array([[1.0]])}
+    arrays[field] = np.array(values)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        Instance(**arrays)
+
+
 def test_instance_properties(instance_a, instance_b):
     assert (instance_a.n, instance_a.m) == (2, 1)
     assert (instance_b.n, instance_b.m) == (2, 2)

@@ -11,9 +11,8 @@ from conftest import random_instance, random_shape, scaled, uniform_demand
 from oracles import lp_oracle, reference_check_duality, reference_simplex_min
 
 from ftfp import lp_core
-from ftfp.instance import GenParams, Instance, generate, validate
+from ftfp.instance import GenParams, InfeasibleError, Instance, generate, validate
 from ftfp.lp_core import (
-    LpInfeasibleError,
     SimplexError,
     build_lp,
     candidate_pairs,
@@ -166,8 +165,26 @@ def test_fixture_a_capped_lp(instance_a):
 
 
 def test_infeasible_caps_raise(instance_a):
-    with pytest.raises(LpInfeasibleError):
+    with pytest.raises(InfeasibleError, match="caps sum"):
         solve_lp(build_lp(instance_a, np.array([1.0, 0.0])))
+
+
+def test_an_unbounded_dual_is_a_simplex_error(instance_a, monkeypatch):
+    # the cover rule keeps such an LP from build_lp; with the rule lifted, caps that sum
+    # to 1 against a demand of 2 leave the dual unbounded, which the simplex reports as
+    # its own failure
+    monkeypatch.setattr(lp_core, "require_cover", lambda inst, caps: None)
+    with pytest.raises(SimplexError, match="unbounded"):
+        solve_lp(build_lp(instance_a, np.array([1.0, 0.0])))
+
+
+def test_build_lp_keeps_a_read_only_copy_of_the_caps(instance_a):
+    caps = np.array([2, 2])
+    lp = build_lp(instance_a, caps)
+    assert lp.caps.dtype == np.float64 and not lp.caps.flags.writeable
+    assert caps.flags.writeable and not np.shares_memory(caps, lp.caps)
+    with pytest.raises(ValueError, match="caps must be reals"):
+        build_lp(instance_a, np.array([True, True]))
 
 
 @pytest.mark.parametrize("caps", [None, np.array([2.0, 2.0])])
@@ -359,10 +376,10 @@ def test_bland_throughout_reaches_the_same_optimum(seed, monkeypatch):
 
 
 def simplex_outcome(simplex, lp) -> tuple:
-    """(v, duals, counters) of one solve as bytes, or the infeasibility message."""
+    """(v, duals, counters) of one solve as bytes, or the unbounded-dual message."""
     try:
         v, duals, counters = simplex(lp.A, lp.b, lp.c)
-    except LpInfeasibleError as exc:
+    except SimplexError as exc:
         return ("infeasible", str(exc))
     return v.tobytes(), duals.tobytes(), counters
 
@@ -378,10 +395,13 @@ def pool_lps(family: str) -> list:
         n, m, top = POOL_SHAPES[family]
         pool = (generate(GenParams(n, m, 1, top, seed)) for seed in range(7, 71))
         return [build_lp(inst) for inst in pool]
-    # uniform:2 on both pools, and uniform:0 (no feasible point) on a few instances
+    # uniform:2 on both pools, and uniform:0 (no feasible point) on a few instances; build_lp
+    # refuses the latter by the cover rule, so it is lifted to keep the unbounded dual under test
     lps = [build_lp(generate(GenParams(n, m, 1, top, seed)), np.full(n, 2.0))
            for n, m, top in POOL_SHAPES.values() for seed in range(7, 23)]
-    return lps + [build_lp(generate(GenParams(6, 12, 1, 4, seed)), np.zeros(6)) for seed in range(7, 11)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_core, "require_cover", lambda inst, caps: None)
+        return lps + [build_lp(generate(GenParams(6, 12, 1, 4, seed)), np.zeros(6)) for seed in range(7, 11)]
 
 
 @pytest.mark.parametrize(
@@ -548,7 +568,7 @@ def test_check_duality_agrees_with_the_whole_dual_check(family):
     for lp in pool_lps(family):
         try:
             primal, alpha = solve_lp(lp)
-        except LpInfeasibleError:
+        except SimplexError:  # the unbounded duals of the uniform:0 LPs
             continue
         solved += 1
         inst, caps = lp.inst, lp.caps

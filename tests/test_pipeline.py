@@ -422,6 +422,33 @@ def test_seed_7_exact_searches_plan_within_a_thousand_nodes(monkeypatch, shape, 
     assert rep.cost_total == cost
 
 
+@pytest.mark.parametrize("solve", [solve_reduce, solve_large])
+def test_a_tight_chain_bound_may_read_a_few_ulps_below_the_cost(solve):
+    # the bound and the cost sum in different orders: seed 7 at 50x100 reports a slack
+    # of -7.1e-15, inside costs_agree's tolerance, so the flow plans
+    inst = generate(GenParams(50, 100, 1, 5, 7))
+    _, rep = solve(inst, subroutine("exact"))
+    assert -1e-12 < rep.chain_slack < 0.0
+    assert costs_agree(inst, rep.cost_total, rep.chain_bound)
+
+
+def test_a_plan_above_its_chain_bound_raises(instance_b):
+    plan, rep = solve_reduce(instance_b)
+    stages = {f: getattr(rep, f) for f in ("cost_s1", "cost_s2", "lp_star_residual", "rho_sub")}
+    with pytest.raises(RuntimeError, match="above its chain bound"):
+        pipeline._report(
+            instance_b, "reduce", plan, {}, 0.0, {}, lp_star=rep.lp_star,
+            chain_bound=plan.cost * (1.0 - 1e-3), **stages,
+        )
+
+
+def test_an_unbounded_dual_at_a_large_cost_unit_is_a_simplex_error():
+    # an uncapped LP always has an optimum, so the unbounded dual the simplex meets on
+    # seed 11 with f and d times 1e12 is its own failure, not a verdict of infeasibility
+    with pytest.raises(SimplexError, match="unbounded"):
+        solve_oracle(scaled(generate(GenParams(8, 10, 1, 4, 11)), 1e12))
+
+
 # Total simplex pivots of the main LP of the greedy solve_reduce over the
 # benchmark's 15x20 pool (demands 1-5, seeds 7-70), the only LP these solves
 # run: recorded when the residual came to be priced by the main LP's
