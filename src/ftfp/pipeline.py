@@ -22,13 +22,12 @@ Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
 from files.  No flow over-covers a client, so the surplus trim before
 the verifier returns its input: s1 serves rhat, s2 and solve_exact's
-plan are scan fills of their demands, and rhat + rbar = r.  Every LP is
-built by lp_core.build_lp, which drops the pairs no LP optimum can use,
-and solved by lp_core.solve_lp, which certifies its value on the full
-instance and raises SimplexError (a RuntimeError) when the certificate
-fails.  A reduce solve runs one LP: the main LP's certified duals price
-the residual (argument in SolveReport), and a residual LP is solved only
-when that certificate is refuted, which large mode can do.
+plan are scan fills of their demands, and rhat + rbar = r.  Every flow
+solves one LP, built by lp_core.build_lp, which drops the pairs no LP
+optimum can use, and solved by lp_core.solve_lp, which certifies its
+value on the full instance and raises SimplexError (a RuntimeError) when
+the certificate fails; its certified duals also price the residual
+(argument in SolveReport).
 
 Every exact search gets the certified coverage duals alpha of the main
 LP (CappedInstance.alpha), which price its one bound (the priced
@@ -60,30 +59,30 @@ import numpy as np
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
 from .instance import Instance, costs_agree, format_records, read_records, scan_fill, solution_cost
-from .lp_core import FractionalSolution, build_lp, check_duality, solve_lp, trim_to_demand
+from .lp_core import build_lp, solve_lp, trim_to_demand
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Cost accounting for one solve; s1 is the integral part, s2 the residual stage.
 
-    lp_star_residual is the uncapped residual LP optimum, which the caps
-    never bind: they are at least max rbar, and some LP optimum opens at
-    most max rbar at every site (cut each x_ij to r_j, then each y_i to
-    max_j x_ij; neither raises the cost).  The main LP's optimal duals
-    (alpha, beta), beta the simplex's own, stay feasible for any
-    demands, and complementary slackness makes (xbar, ybar) cost exactly
-    rbar.alpha: xbar_ij > 0 gives d_ij = alpha_j - beta_ij, ybar_i > 0
-    gives f_i = sum_j beta_ij, beta_ij > 0 gives xbar_ij = ybar_i.  The
-    check needs only alpha (see lp_core): when (xbar, ybar) is feasible
-    for the residual, as a reduce-mode one always is, check_duality
-    certifies rbar.alpha as the optimum; when it refutes it (large mode
-    can strand xbar_ij > ybar_i), the residual LP is solved instead.
-    counters maps each LP solved ("lp", and "residual_lp" only when the
-    residual's certificate was refuted) to its shape, pivot counts and
-    certified duality gap (see solve_lp); "subroutine" (a non-empty
-    residual) and "oracle" hold the integral solver's counters (search
-    nodes, greedy rounds; see ftfl_solvers).
+    lp_star_residual is rbar.alpha, a certified lower bound on the
+    uncapped residual LP: the main LP's alpha passed check_duality, its
+    dual constraints do not involve the demands, and rbar >= 0, so weak
+    duality applies.  It equals that LP whenever (xbar, ybar) is feasible,
+    as every reduce-mode residual is: with the main LP's optimal duals
+    (alpha, beta), beta the simplex's own, complementary slackness makes
+    (xbar, ybar) cost exactly rbar.alpha (xbar_ij > 0 gives d_ij =
+    alpha_j - beta_ij, ybar_i > 0 gives f_i = sum_j beta_ij, beta_ij > 0
+    gives xbar_ij = ybar_i).  Large mode can strand xbar_ij > ybar_i, and
+    a bound below the LP only raises rho_sub, so chain_bound stays valid.
+    The caps never bind the residual LP: they are at least max rbar, and
+    some LP optimum opens at most max rbar at every site (cut each x_ij to
+    r_j, then each y_i to max_j x_ij; neither raises the cost).
+    counters maps "lp" to the one LP's shape, pivot counts and certified
+    duality gap (see solve_lp); "subroutine" (a non-empty residual) and
+    "oracle" hold the integral solver's counters (search nodes, greedy
+    rounds; see ftfl_solvers).
     decomposition is the one solve_reduce and solve_large rounded (None
     from solve_oracle); it is left out of the JSON and of comparisons.
     chain_slack, chain_bound - cost_total, can read a few ulps below 0 when
@@ -224,22 +223,14 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     wall["decompose"] = time.perf_counter() - t
     s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=solution_cost(inst, dec.yhat, dec.xhat))
 
-    lp2 = 0.0
-    wall["residual_lp"] = wall["subroutine"] = 0.0
+    lp2 = float(dec.rbar @ alpha)  # weak duality: a certified lower bound on the residual LP
+    wall["subroutine"] = 0.0
     if dec.residual_empty:
         s2 = IntegralSolution(y=np.zeros_like(dec.yhat), x=np.zeros_like(dec.xhat), cost=0.0)
     else:
-        res = residual_instance(dec, inst)
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(res, split_counts(dec), alpha, dec.ybar))
+        s2 = sub.solve(to_capped(residual_instance(dec, inst), split_counts(dec), alpha, dec.ybar))
         wall["subroutine"] = time.perf_counter() - t
-        t = time.perf_counter()
-        lp2 = float(dec.rbar @ alpha)  # the residual LP optimum when the certificate holds
-        if check_duality(FractionalSolution(dec.xbar, dec.ybar, lp2), alpha, res):
-            res_lp = solve_lp(build_lp(res))[0]
-            lp2 = res_lp.objective
-            counters["residual_lp"] = res_lp.counters
-        wall["residual_lp"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
 
     rho = _guarded_ratio(s2.cost, lp2, "residual stage cost")
