@@ -24,9 +24,9 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               proves that at the root, and site i's children run from
               max(0, max_j r_j - room + cap_i) to cap_i, so every node
               visited can cover.  A node is pruned when its bound B
-              exceeds the incumbent cost by more than PRUNE_MARGIN
-              relative (the cutoff).  B uses multipliers alpha_j >= 0 on
-              the coverage rows (CappedInstance.alpha), with
+              exceeds the cutoff, the incumbent cost plus PRUNE_MARGIN
+              (cost_unit + |incumbent cost|).  B uses multipliers
+              alpha_j >= 0 on the coverage rows (CappedInstance.alpha), with
               beta_ij = max(0, alpha_j - d_ij) and the site budget slack
               rho_i = f_i - sum_j beta_ij (lp_core's dual_terms), which
               is >= 0 up to rounding for the coverage duals of a
@@ -53,14 +53,12 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
                  L = sum_j r_j alpha_j + sum_{i in D} v_i rho_i
                      + sum_{k in U} min(0, cap_k rho_k),
               as every unit costs at least alpha_j - beta_ij, so B alone
-              is tested (L serves only the root's fixing below).  When
-              every rho_k >= 0, B is also at least the bound that opens
-              every undecided site to its cap at d_kj for free, as
-              prices only rise.  The sites with d_ij < alpha_j (near)
-              are a prefix of client j's scan order, so each row is
-              split once per call and the fill takes the decided near
-              sites in scan order, then the undecided near units at
-              alpha_j each, then the far sites in scan order at d_ij.
+              is tested (L serves only the root's fixing below).  The
+              sites with d_ij < alpha_j (near) are a prefix of client j's
+              scan order, so each row is split once per call and the
+              fill takes the decided near sites in scan order, then the
+              undecided near units at alpha_j each, then the far sites
+              in scan order at d_ij.
               A leaf's cost is its opening costs summed in index order
               plus its fill; every site is decided there, so the fill
               adds the terms of the scan-order connection cost in scan
@@ -78,9 +76,8 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               When it sums to less than max_j r_j (the cover test), or
               there is no opening, every site at its cap is the first
               incumbent instead, which the cover rule has proved covers.
-              The search does not call the greedy solver.  Either
-              incumbent is a leaf of the tree, so it moves the nodes
-              visited and not the plan returned.
+              Either incumbent is a leaf of the tree, so it moves the
+              nodes visited and not the plan returned.
               Root reduced-cost fixing: a leaf with y_i = v has
               L >= free + v rho_i, free = sum_j r_j alpha_j
               + sum_k min(0, cap_k rho_k) (L at the root, whose term for
@@ -106,11 +103,12 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               ancestors sum in other orders than its cost and can
               exceed it by rounding, a few ulps; strict pruning against
               the incumbent cost would then cut off a leaf that ties
-              the incumbent and is lexicographically smaller.  The
-              margin is far wider than that rounding, so every leaf at
-              or below the incumbent cost is reached; the nodes it lets
-              through whose leaves cost more are visited and none of
-              those leaves is accepted.
+              the incumbent and is lexicographically smaller.  That
+              rounding scales with the costs, as the margin does, and
+              the margin is far wider, so every leaf at or below the
+              incumbent cost is reached; the nodes it lets through
+              whose leaves cost more are visited and none of those
+              leaves is accepted.
 
 solve_greedy  Ratio greedy.  Each round either opens one more facility
               at some site together with a best prefix of undersupplied
@@ -147,7 +145,8 @@ from .lp_core import dual_terms
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
-# relative margin by which a node's lower bound must exceed the incumbent to prune it
+# a node is pruned when its lower bound exceeds the incumbent cost by more than
+# PRUNE_MARGIN * (cost_unit + |incumbent cost|)
 PRUNE_MARGIN = 1e-9
 # an LP opening at most this above an integer rounds down to it for the first incumbent
 OPENING_TOL = 1e-9
@@ -210,12 +209,13 @@ def node_budget() -> int:
     return budget
 
 
-def _assign(y: np.ndarray, inst: Instance) -> np.ndarray:
-    """scan_fill of y's facilities, which serves every client: each solver's y sums to at least max_j r_j."""
-    y = np.asarray(y, dtype=np.int64)
+def _plan(y: np.ndarray | list[int], inst: Instance, counters: dict[str, int]) -> IntegralSolution:
+    """The plan of y with the scan_fill of its facilities, which serves every client:
+    each solver's y sums to at least max_j r_j."""
+    y = np.array(y, dtype=np.int64)
     x = scan_fill(np.broadcast_to(y[:, None], (inst.n, inst.m)), inst)
     assert np.array_equal(x.sum(axis=0), inst.demands), f"{int(y.sum())} open facilities leave a client short"
-    return x
+    return IntegralSolution(y=y, x=x, cost=solution_cost(inst, y, x), counters=counters)
 
 
 def solve_exact(ci: CappedInstance) -> IntegralSolution:
@@ -292,7 +292,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         if sum(rounded) >= need:
             best_y = rounded
     best_cost = opening_cost_in_index_order(best_y) + priced_connection_cost(best_y, [True] * n)
-    cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
+    cutoff = best_cost + PRUNE_MARGIN * (inst.cost_unit + abs(best_cost))
     # reduced-cost fixing: a leaf with y_i = v has a Lagrangian bound of at least the root's
     # plus v rho_i, so a site with rho_i > 0 keeps only the v that leave it within the cutoff;
     # suffix sums only sites with rho_i < 0, so it holds for the fixed caps as built
@@ -322,7 +322,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             cost = opening_cost_in_index_order(capvec) + conn
             if cost < best_cost or (cost == best_cost and capvec < best_y):
                 best_cost = cost
-                cutoff = best_cost + PRUNE_MARGIN * (1.0 + abs(best_cost))
+                cutoff = best_cost + PRUNE_MARGIN * (inst.cost_unit + abs(best_cost))
                 best_y = capvec.copy()
             return
         i = perm[depth]
@@ -337,10 +337,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
         walk(0, 0.0, sum(caps_list))
     except RecursionError:
         raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
-    yv = np.array(best_y, dtype=np.int64)
-    x = _assign(yv, inst)
-    counters = {"nodes": nodes, "pruned_bound": pruned_bound}
-    return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters=counters)
+    return _plan(best_y, inst, {"nodes": nodes, "pruned_bound": pruned_bound})
 
 
 def solve_greedy(ci: CappedInstance) -> IntegralSolution:
@@ -402,9 +399,7 @@ def solve_greedy(ci: CappedInstance) -> IntegralSolution:
             for j in [j for j, _ in by_site[i] if under[j]][:payload]:
                 a[i][j] += 1
                 served[j] += 1
-    yv = np.array(y, dtype=np.int64)
-    x = _assign(yv, inst)
-    return IntegralSolution(y=yv, x=x, cost=solution_cost(inst, yv, x), counters={"rounds": rounds})
+    return _plan(y, inst, {"rounds": rounds})
 
 
 @dataclass(frozen=True)
@@ -413,9 +408,6 @@ class Subroutine:
 
     kind: str
     fn: Callable[[CappedInstance], IntegralSolution]
-
-    def solve(self, ci: CappedInstance) -> IntegralSolution:
-        return self.fn(ci)
 
 
 EXACT = Subroutine("exact", solve_exact)

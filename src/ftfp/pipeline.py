@@ -229,7 +229,7 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
         s2 = IntegralSolution(y=np.zeros_like(dec.yhat), x=np.zeros_like(dec.xhat), cost=0.0)
     else:
         t = time.perf_counter()
-        s2 = sub.solve(to_capped(residual_instance(dec, inst), split_counts(dec), alpha, dec.ybar))
+        s2 = sub.fn(to_capped(residual_instance(dec, inst), split_counts(dec), alpha, dec.ybar))
         wall["subroutine"] = time.perf_counter() - t
         counters["subroutine"] = dict(s2.counters)
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, scaled
 from oracles import enumerate_optimum, matching_assignment_cost
 
 from ftfp import ftfl_solvers
@@ -38,7 +38,7 @@ def caps_for(inst: Instance, k: int | None = None) -> np.ndarray:
 
 def assignment(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, float]:
     """The solvers' fill of y's facilities and its connection cost."""
-    x = ftfl_solvers._assign(y, inst)
+    x = ftfl_solvers._plan(y, inst, {}).x
     return x, solution_cost(inst, np.zeros(inst.n), x)
 
 
@@ -320,6 +320,22 @@ def test_reduced_cost_fixing_survives_a_subnormal_rate(alpha):
     assert sol.cost == want_cost == 1.2
 
 
+@pytest.mark.parametrize("k", [-30, -10, 10, 30])
+def test_the_search_does_not_depend_on_the_cost_unit(k):
+    # f and d times 2^k scale every bound, leaf cost and cost_unit exactly, and the
+    # prune margin is measured in cost_unit, so the same nodes are visited and pruned
+    moved = []
+    for seed in range(7, 39):
+        inst = generate(GenParams(6, 10, 1, 3, seed))
+        caps = np.full(inst.n, inst.max_demand)
+        base = solve_exact(to_capped(inst, caps))
+        sol = solve_exact(to_capped(scaled(inst, 2.0**k), caps))
+        assert np.array_equal(sol.y, base.y)
+        if sol.counters != base.counters:
+            moved.append((seed, base.counters, sol.counters))
+    assert moved == []
+
+
 @pytest.fixture(scope="module")
 def oracle_pool() -> list[CappedInstance]:
     """The first 48 instances of the benchmark's oracle-6x12 pool (seeds 7-54)
@@ -549,7 +565,7 @@ def test_greedy_is_feasible_and_bounded_below_by_exact(seed):
 def test_subroutine_lookup(instance_b):
     ex = subroutine("exact")
     assert ex.kind == "exact"
-    sol = ex.solve(to_capped(instance_b, np.array([1, 1])))
+    sol = ex.fn(to_capped(instance_b, np.array([1, 1])))
     assert sol.cost == 2.0
     assert subroutine("greedy").kind == "greedy"
     with pytest.raises(ValueError, match="unknown subroutine"):

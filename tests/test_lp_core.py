@@ -204,6 +204,44 @@ def test_refuted_certificate_raises(caps, instance_a, monkeypatch):
     assert inst is instance_a and checked_caps is lp.caps
 
 
+def _patch_simplex_values(monkeypatch, edit):
+    """Make solve_lp read the simplex's values v after edit(v) has changed them in place."""
+    simplex = lp_core._simplex_min
+
+    def patched(A, b, c):
+        v, duals, work = simplex(A, b, c)
+        edit(v)
+        return v, duals, work
+
+    monkeypatch.setattr(lp_core, "_simplex_min", patched)
+
+
+def test_a_value_clipped_to_a_certified_point_is_accepted(monkeypatch):
+    # a zero of v pushed to -1e-6, far below FEAS_TOL: solve_lp clips it back to 0, and
+    # the certificate of the clipped point decides, so the result is the unpatched one
+    inst = generate(GenParams(8, 10, 1, 4, 7))
+    primal, alpha = solve_lp(build_lp(inst))
+
+    def lower_a_zero(v):
+        v[np.flatnonzero(v == 0.0)[0]] -= 1e-6
+
+    _patch_simplex_values(monkeypatch, lower_a_zero)
+    clipped, clipped_alpha = solve_lp(build_lp(inst))
+    assert clipped.y.tobytes() == primal.y.tobytes()
+    assert clipped_alpha.tobytes() == alpha.tobytes()
+
+
+def test_a_negative_lambda_fails_the_certificate(instance_a, monkeypatch):
+    # lambda_0 = 2 carries most of fixture-a's alpha; negated and clipped, it leaves a
+    # duality gap, and the certificate is what refuses it
+    def flip_a_lambda(v):
+        v[np.flatnonzero(v[: instance_a.m] > 0.0)[0]] *= -1.0
+
+    _patch_simplex_values(monkeypatch, flip_a_lambda)
+    with pytest.raises(SimplexError, match="failed its duality check"):
+        solve_lp(build_lp(instance_a))
+
+
 # ---------------------------------------------------------------------------
 # cross-checks against an independent solver
 
