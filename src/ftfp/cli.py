@@ -5,8 +5,10 @@ command is non-interactive and exits with a stable code:
 
     0  success (for verify: the plan is feasible)
     1  verification failure, a pipeline's own output failed its
-       internal re-verification, or the simplex failed (an unbounded
-       dual, or an LP bound that failed its duality certificate)
+       internal re-verification, or the simplex failed (an LP bound
+       that failed its duality certificate, pivoting hit its iteration
+       limit, the final basis could not be re-solved, or an unbounded
+       dual)
     2  bad usage: unknown flags, unreadable or malformed files, invalid
        parameter combinations, invalid instances, infeasible caps
     3  the work does not fit: the exact search visited more nodes than

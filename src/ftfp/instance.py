@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ COST_REL_TOL = 1e-6  # costs_agree's tolerance, relative to the cost unit
 # the largest plain upper bound on an instance's optimum (see Instance); the rest of
 # the float range is headroom for the sums the LP, its certificate and the search form
 COST_LIMIT = 1e300
-# entries (8 MB of float64) in one block of the metric check's min-reductions
+# entries (8 MB of float64) in one block of sites of the metric check's min-reductions
 _METRIC_BLOCK = 1 << 20
 
 
@@ -327,30 +327,32 @@ def serialize_instance(inst: Instance) -> str:
 def validate(inst: Instance) -> list[str]:
     """Check the bipartite metric condition; returns one message per violation.
 
-    The constructor has already checked the values.  The check is
-    O(n m^2) time in O(m^2) memory: the tightest right-hand side
-    min_{k,l} (d_il + d_kl + d_kj) is built from two min-reductions, each
-    taken over blocks of sites and adding one (m, m) slab per site, and
-    entries above it by more than METRIC_TOL times the largest distance
-    are reported with the witnessing (i, j, k, l), so the verdict does
-    not depend on the scale.
+    The constructor has already checked the values.  The tightest
+    right-hand side min_{k,l} (d_il + d_kl + d_kj) comes from two
+    min-reductions over whole rows, taken one block of sites i at a time:
+    pair_ik = min_l (d_il + d_kl), then bound_ij = min_k (pair_ik + d_kj).
+    That is O(n^2 m) time, and beyond d itself the memory of one block,
+    at most max(_METRIC_BLOCK, n m) entries.  So a wide instance is cheap,
+    and one with more sites than clients pays time, not memory.  Entries
+    above the bound by more than METRIC_TOL times the largest distance are
+    reported with the witnessing (i, j, k, l), so the verdict does not
+    depend on the scale; the stated sum, added left to right, is the bound
+    bit for bit.
     """
     bad = []
     d = inst.dist
-    # through[l, j] = min_k (d_kl + d_kj); bound[i, j] = min_l (d_il + through[l, j]);
-    # both reductions run over blocks of sites, so no temporary exceeds
-    # _METRIC_BLOCK entries unless a single site's (m, m) slab does
-    step = max(1, _METRIC_BLOCK // (inst.m * inst.m))
-    blocks = [d[s : s + step] for s in range(0, inst.n, step)]
-    through = reduce(np.minimum, (np.min(b[:, :, None] + b[:, None, :], axis=0) for b in blocks))
-    bound = np.concatenate([np.min(b[:, :, None] + through[None, :, :], axis=1) for b in blocks])
-    for i, j in zip(*np.nonzero(d > bound + METRIC_TOL * float(d.max()))):
-        l = int(np.argmin(d[i, :] + through[:, j]))
-        k = int(np.argmin(d[:, l] + d[:, j]))
-        bad.append(
-            f"metric violated at d[{i},{j}] = {d[i, j]}: "
-            f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {bound[i, j]} (sites {i},{k}, clients {j},{l})"
-        )
+    tol = METRIC_TOL * float(d.max())
+    step = max(1, _METRIC_BLOCK // d.size)  # each temporary is (step, n, m)
+    for s in range(0, inst.n, step):
+        pair = np.min(d[s : s + step, None, :] + d[None, :, :], axis=2)
+        bound = np.min(pair[:, :, None] + d[None, :, :], axis=1)
+        for a, j in zip(*np.nonzero(d[s : s + step] > bound + tol)):
+            i, k = s + a, int(np.argmin(pair[a] + d[:, j]))
+            l = int(np.argmin(d[i] + d[k]))
+            bad.append(
+                f"metric violated at d[{i},{j}] = {d[i, j]}: "
+                f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {bound[a, j]} (sites {i},{k}, clients {j},{l})"
+            )
     return bad
 
 

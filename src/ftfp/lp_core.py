@@ -100,10 +100,24 @@ steps.  Instances here are desk-sized, which makes the dense tableau
 the simplest correct choice.  At optimality the basis system is
 re-solved directly (numpy linalg) so reported values carry no
 accumulated pivot drift.
+
+The simplex's tolerance _PIVOT_EPS is absolute, but only three parts of
+the LP carry the cost unit: mu's block of the y rows, b's y rows (-f)
+and mu's costs r_j d_lj.  So solve_lp normalises by a power of two, as
+Curtis and Reid (1972) scale matrices: when Instance.cost_unit is not 0
+and lies outside [0.5, 2), it multiplies those parts of copies by 2^k,
+k chosen so that the unit lands in [1, 2).  The result is the LP of the
+instance with f and d times 2^k, whose lambda and gamma are 2^k times
+the original ones and whose mu and y are the same, so solve_lp divides
+lambda by 2^k.  Multiplying by a power of two is exact unless an entry
+underflows, and check_duality runs on the original instance, so the
+certificate decides either way.  An LP whose unit lies in [0.5, 2) is
+solved as build_lp returned it, to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,20 +288,31 @@ def solve_lp(lp: LinearProgram) -> tuple[FractionalSolution, np.ndarray]:
 
     Both are in the paper's variables (recovery in the module docstring),
     read from the simplex's values clipped at 0 and checked on lp.inst
-    under lp.caps; a refuted certificate raises SimplexError.  The
+    under lp.caps; a refuted certificate raises SimplexError.  The simplex
+    solves the LP normalised by a power of two (module docstring).  The
     primal point's counters hold the LP shape (rows, cols), the simplex
     work: pivots, degenerate_pivots (ratio zero) and bland_pivots
     (entering column chosen by the anti-cycling fallback), and the
     certified duality_gap |primal.objective - dual value|.
     """
-    v, duals, work = _simplex_min(lp.A, lp.b, lp.c)
-    v = np.maximum(v, 0.0)
     inst, n, m = lp.inst, lp.inst.n, lp.inst.m
-    y = np.maximum(duals[:n], 0.0)
     site, client = np.nonzero(lp.pairs)
+    mus = slice(m, m + site.size)
+    A, b, c = lp.A, lp.b, lp.c
+    unit = inst.cost_unit
+    k = 0 if unit == 0 or 0.5 <= unit < 2 else 1 - math.frexp(unit)[1]  # unit * 2^k in [1, 2)
+    if k:  # the parts in the cost unit (module docstring): mu's block of the y rows, b's y rows, mu's costs
+        A, b, c = A.copy(), b.copy(), c.copy()
+        A[:n, mus] = np.ldexp(A[:n, mus], k)
+        b[:n] = np.ldexp(b[:n], k)
+        c[mus] = np.ldexp(c[mus], k)
+    v, duals, work = _simplex_min(A, b, c)
+    v = np.maximum(v, 0.0)
+    y = np.maximum(duals[:n], 0.0)
     x = scan_fill(np.where(lp.pairs, y[:, None], 0.0), inst)
-    mu = v[m : m + site.size]
-    alpha = v[:m] + np.bincount(client, weights=mu * inst.dist[site, client], minlength=m)
+    # the normalised LP's lambda is 2^k times this one's; mu is a weight and y an opening, so
+    # neither moves (gamma moves like lambda, but nothing reads it: dual_terms rebuilds it)
+    alpha = np.ldexp(v[:m], -k) + np.bincount(client, weights=v[mus] * inst.dist[site, client], minlength=m)
     objective = solution_cost(inst, y, x)
     gap = abs(objective - _dual_value(alpha, inst, lp.caps))
     counters = dict(rows=lp.A.shape[0], cols=lp.A.shape[1], **work, duality_gap=gap)

@@ -304,13 +304,17 @@ def test_solve_singular_final_basis_exits_one(inst_file, monkeypatch, capsys):
     assert "final basis" in capsys.readouterr().err
 
 
-def test_solve_unbounded_dual_exits_one(tmp_path, capsys):
-    # an uncapped LP always has an optimum; at f and d times 1e12 the simplex's absolute
-    # pivot tolerance meets an unbounded dual on seed 11, a solver failure, not bad input
-    path = tmp_path / "x1e12.ftfp"
-    path.write_text(serialize_instance(scaled(generate(GenParams(8, 10, 1, 4, 11)), 1e12)))
-    assert main(["solve", "--in", str(path), "--algo", "oracle"]) == 1
-    assert "the dual is unbounded" in capsys.readouterr().err
+def test_solve_at_a_large_cost_unit_plans_the_unit_scale_plan(tmp_path):
+    # the simplex's pivot tolerance is absolute: unless the LP is normalised by a power of
+    # two, seed 11 with f and d times 1e12 meets an unbounded dual and exits 1
+    plans = []
+    for s in (1.0, 1e12):
+        path, out = tmp_path / f"x{s:g}.ftfp", tmp_path / f"x{s:g}.sol"
+        path.write_text(serialize_instance(scaled(generate(GenParams(8, 10, 1, 4, 11)), s)))
+        assert main(["solve", "--in", str(path), "--algo", "oracle", "--out", str(out)]) == 0
+        plans.append(parse_solution(out.read_text()))
+    (y1, x1), (y2, x2) = plans
+    assert np.array_equal(y1, y2) and np.array_equal(x1, x2)
 
 
 def test_oracle_refuses_decomposition_dump(inst_file, tmp_path):

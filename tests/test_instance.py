@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,24 +264,31 @@ def test_metric_check_flags_a_violation_at_scale_1e_minus_10():
     ]
 
 
-def unchunked_metric_messages(inst: Instance) -> list[str]:
-    """The metric check over whole (n, m, m) arrays, as validate did before it went by blocks of sites."""
-    d = inst.dist
-    through = np.min(d[:, :, None] + d[:, None, :], axis=0)
-    bound = np.min(d[:, :, None] + through[None, :, :], axis=1)
-    bad = []
-    for i, j in zip(*np.nonzero(d > bound + 1e-9 * d.max())):
-        l = int(np.argmin(d[i, :] + through[:, j]))
-        k = int(np.argmin(d[:, l] + d[:, j]))
-        bad.append(
-            f"metric violated at d[{i},{j}] = {d[i, j]}: "
-            f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {bound[i, j]} (sites {i},{k}, clients {j},{l})"
-        )
-    return bad
+def quadruple_loop_flags(d: np.ndarray) -> list[tuple[int, int]]:
+    """The entries (i, j), in row-major order, that exceed every d_il + d_kl + d_kj,
+    added left to right, by more than validate's tolerance; one entry at a time, on purpose."""
+    n, m = d.shape
+    tol = instance.METRIC_TOL * float(d.max())
+    flagged = []
+    for i in range(n):
+        for j in range(m):
+            tightest = min(d[i, l] + d[k, l] + d[k, j] for k in range(n) for l in range(m))
+            if d[i, j] > tightest + tol:
+                flagged.append((i, j))
+    return flagged
+
+
+METRIC_MESSAGE = re.compile(
+    r"metric violated at d\[(\d+),(\d+)\] = \S+: "
+    r"d\[\1,(\d+)\] \+ d\[(\d+),\3\] \+ d\[\4,\2\] = (\S+) \(sites \1,\4, clients \2,\3\)$"
+)
 
 
 @pytest.mark.parametrize("block", [1, 60, 1 << 20])  # one site, a few sites, all sites per block
 def test_blocked_metric_check_matches_the_unchunked_one(block, monkeypatch):
+    # the flagged entries are those of the unchunked quadruple loop whatever the block size,
+    # and each witness (k, l) adds up, left to right, to the stated bound bit for bit;
+    # which witness is named among ties is left open
     monkeypatch.setattr(instance, "_METRIC_BLOCK", block)
     flagged = 0
     for seed in range(60):
@@ -288,11 +296,31 @@ def test_blocked_metric_check_matches_the_unchunked_one(block, monkeypatch):
         n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         # arbitrary tables break the metric often; small integers also tie often
         d = rng.random((n, m)) if seed % 2 else rng.integers(0, 4, (n, m)).astype(float)
-        inst = Instance(np.ones(n), np.ones(m, dtype=np.int64), d)
-        want = unchunked_metric_messages(inst)
-        assert validate(inst) == want, seed
-        flagged += bool(want)
+        msgs = validate(Instance(np.ones(n), np.ones(m, dtype=np.int64), d))
+        seen = []
+        for msg in msgs:
+            match = METRIC_MESSAGE.match(msg)
+            assert match, msg
+            i, j, l, k = map(int, match.groups()[:4])
+            witness = d[i, l] + d[k, l] + d[k, j]
+            assert repr(float(witness)) == match[5], msg
+            assert d[i, j] > witness + instance.METRIC_TOL * d.max(), msg
+            seen.append((i, j))
+        assert seen == quadruple_loop_flags(d), seed
+        flagged += bool(msgs)
     assert flagged >= 30
+
+
+def test_metric_check_memory_is_bounded_by_the_input():
+    # blocks of sites keep no (m, m) array, which alone would be 72 MB at 4x3000
+    inst = generate(GenParams(4, 3000, 1, 5, 7))
+    tracemalloc.start()
+    try:
+        assert validate(inst) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -631,11 +631,18 @@ def test_check_duality_refuses_a_site_budget_the_gap_cannot_see():
 
 
 def test_certificate_tolerances_follow_the_cost_unit():
-    # at costs of ~1e9 the site budget of this LP's alpha is short by ~2.4e-7, rounding
-    # in the cost unit: an absolute 1e-7 refuted it, FEAS_TOL * cost_unit passes it
+    # at costs of ~1e9 an ulp is ~1.2e-7: a site budget short by two ulps, which the simplex
+    # can leave unless the LP is normalised, fails an absolute 1e-7 and passes
+    # FEAS_TOL * cost_unit
     inst = scaled(generate(GenParams(8, 10, 1, 4, 13)), 1e9)
     primal, alpha = solve_lp(build_lp(inst))
     assert check_duality(primal, alpha, inst) == []
+    tight = int(np.argmin(inst.site_costs - dual_terms(alpha, inst)[0].sum(axis=1)))
+    f = inst.site_costs.copy()
+    f[tight] -= 2.5e-7
+    short = Instance(f, inst.demands, inst.dist)
+    assert (short.site_costs - dual_terms(alpha, short)[0].sum(axis=1)).min() < -lp_core.FEAS_TOL
+    assert check_duality(primal, alpha, short) == []
 
 
 def test_a_singular_final_basis_is_a_simplex_error(instance_a, monkeypatch):

@@ -26,7 +26,6 @@ from ftfp.ftfl_solvers import (
 from ftfp.instance import GenParams, Instance, ParseError, costs_agree, generate
 from ftfp.lp_core import (
     FractionalSolution,
-    SimplexError,
     build_lp,
     candidate_pairs,
     solve_lp,
@@ -456,11 +455,25 @@ def test_a_plan_above_its_chain_bound_raises(instance_b):
         )
 
 
-def test_an_unbounded_dual_at_a_large_cost_unit_is_a_simplex_error():
-    # an uncapped LP always has an optimum, so the unbounded dual the simplex meets on
-    # seed 11 with f and d times 1e12 is its own failure, not a verdict of infeasibility
-    with pytest.raises(SimplexError, match="unbounded"):
-        solve_oracle(scaled(generate(GenParams(8, 10, 1, 4, 11)), 1e12))
+@pytest.mark.parametrize("s", [2.0**-40, 1e-9, 1e12, 2.0**40], ids=["2^-40", "1e-9", "1e12", "2^40"])
+def test_a_scaled_instance_plans_its_unit_scale_plan(s):
+    # the simplex's pivot tolerance is absolute, so the LP is normalised by a power of two
+    # to a cost unit in [1, 2); without that, seed 11 at 1e12 meets an unbounded dual and
+    # every seed at 1e-9 and 2^-40 a refuted certificate
+    for seed in range(7, 23):
+        inst = generate(GenParams(8, 10, 1, 4, seed))
+        want, _ = solve_oracle(inst)
+        plan, _ = solve_oracle(scaled(inst, s))
+        assert np.array_equal(plan.y, want.y) and np.array_equal(plan.x, want.x), seed
+
+
+def test_an_instance_of_zero_costs_solves_unscaled():
+    # its cost unit is 0, which no power of two moves, so the LP is solved as built
+    inst = Instance(np.zeros(3), np.array([2, 1]), np.zeros((3, 2)))
+    assert inst.cost_unit == 0.0
+    plan, rep = solve_oracle(inst)
+    assert plan.cost == rep.lp_star == 0.0
+    assert verify_solution(inst, plan) == []
 
 
 # Total simplex pivots of the main LP of the greedy solve_reduce over the
@@ -616,19 +629,13 @@ def test_verify_solution_flags_each_axis(instance_a):
 
 
 def test_oracle_bound_holds_at_a_small_cost_unit():
-    # at costs of ~1e-8 an absolute tolerance of 1e-7 passes any alpha: the LP is either
-    # refused, or the bound it certifies is at most the optimal plan's cost (up to the
-    # cost tolerance, which the cost unit scales down with the costs)
-    certified = 0
+    # at costs of ~1e-8 an absolute tolerance of 1e-7 would pass any alpha; the LP, normalised
+    # by a power of two, certifies every seed, and each bound is at most the optimal plan's
+    # cost (up to the cost tolerance, which the cost unit scales down with the costs)
     for seed in range(7, 39):
         inst = scaled(generate(GenParams(8, 10, 1, 4, seed)), 1e-8)
-        try:
-            _, rep = solve_oracle(inst)
-        except SimplexError:
-            continue
-        certified += 1
+        _, rep = solve_oracle(inst)
         assert rep.cost_total >= rep.lp_star or costs_agree(inst, rep.cost_total, rep.lp_star), seed
-    assert certified > 0
 
 
 # ---------------------------------------------------------------------------
