@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-# decompose_reduce and trim_to_demand are no longer called here, but they stay
-# bound: benchmark/spans.py times the layers by swapping these module names.
+# decompose_reduce and trim_to_demand are bound only for the benchmark:
+# benchmark/spans.py times the layers by swapping module names.
 from .decompose import decompose_reduce  # noqa: F401
 from .ftfl_solvers import BudgetExceededError, IntegralSolution, subroutine
 from .instance import GenParams, Instance, format_records, generate, parse_instance

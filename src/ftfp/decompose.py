@@ -21,8 +21,10 @@ large mode    y-hat_i = floor(y*_i)
     against sub-tolerance noise in snapped inputs.
 
 Both accept exactly the points the certificate's primal families accept
-(lp_core.primal_violations), trimmed to the demands (trim_to_demand), and
-raise ValueError for any other.
+(lp_core.primal_violations) whose integral part serves no client beyond
+its demand, and raise ValueError for any other.  solve_lp's fill meets
+every demand exactly; lp_core.trim_to_demand cuts a point from elsewhere
+back to the demands.
 
 Values are snapped to nearby integers (within 1e-6) before flooring so
 that a connection of 1.9999999 is not floored to 1.  After the snap all

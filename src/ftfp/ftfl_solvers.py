@@ -28,7 +28,7 @@ solve_exact   Depth-first branch and bound over opening vectors.  It
               (cost_unit + |incumbent cost|).  B uses multipliers
               alpha_j >= 0 on the coverage rows (CappedInstance.alpha), with
               beta_ij = max(0, alpha_j - d_ij) and the site budget slack
-              rho_i = f_i - sum_j beta_ij (lp_core's dual_terms), which
+              rho_i = f_i - sum_j beta_ij (lp_core's site_slack), which
               is >= 0 up to rounding for the coverage duals of a
               certified uncapped LP; it holds for every alpha >= 0.  At
               a node, D are the decided sites, at v_i, and U the
@@ -141,7 +141,7 @@ from typing import Callable
 import numpy as np
 
 from .instance import InfeasibleError, Instance, as_counts, as_reals, require_cover, scan_fill, solution_cost
-from .lp_core import dual_terms
+from .lp_core import site_slack
 
 NODE_BUDGET_ENV = "FTFP_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -241,7 +241,7 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
     need = inst.max_demand  # a subtree can cover every client iff capvec sums to at least this
     perm = sorted(range(n), key=lambda i: (-f[i], i))  # branching order: dearest site first
     # per-site rates rho_i, and suffix[k] the least the undecided sites perm[k:] add to a bound
-    rho = (inst.site_costs - dual_terms(ci.alpha, inst)[0].sum(axis=1)).tolist()
+    rho = site_slack(ci.alpha, inst).tolist()
     suffix = [0.0] * (n + 1)
     for k in reversed(range(n)):
         suffix[k] = suffix[k + 1] + min(0.0, caps_list[perm[k]] * rho[perm[k]])

@@ -190,8 +190,11 @@ def scan_fill(offer: np.ndarray, inst: Instance) -> np.ndarray:
 
 
 def solution_cost(inst: Instance, y: np.ndarray, x: np.ndarray) -> float:
-    """f.y + sum_ij d_ij x_ij, the cost of openings y and connections x, integral or fractional."""
-    return float(inst.site_costs @ y + (inst.dist * x).sum())
+    """f.y + sum_ij d_ij x_ij, the cost of openings y and connections x, integral or fractional.
+
+    Beyond the float range it is inf (NaN from negative counts); no warning escapes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(inst.site_costs @ y + (inst.dist * x).sum())
 
 
 def costs_agree(inst: Instance, value: float, other: float) -> bool:
@@ -327,33 +330,38 @@ def serialize_instance(inst: Instance) -> str:
 def validate(inst: Instance) -> list[str]:
     """Check the bipartite metric condition; returns one message per violation.
 
-    The constructor has already checked the values.  The tightest
-    right-hand side min_{k,l} (d_il + d_kl + d_kj) comes from two
-    min-reductions over whole rows, taken one block of sites i at a time:
-    pair_ik = min_l (d_il + d_kl), then bound_ij = min_k (pair_ik + d_kj).
-    That is O(n^2 m) time, and beyond d itself the memory of one block,
-    at most max(_METRIC_BLOCK, n m) entries.  So a wide instance is cheap,
-    and one with more sites than clients pays time, not memory.  Entries
-    above the bound by more than METRIC_TOL times the largest distance are
-    reported with the witnessing (i, j, k, l), so the verdict does not
-    depend on the scale; the stated sum, added left to right, is the bound
-    bit for bit.
+    The constructor has already checked the values.  The condition reads
+    the same with sites and clients swapped, so the check pairs the
+    shorter side: it runs on e = d when n <= m and on e = d.T otherwise.
+    The tightest right-hand side min_{k,l} (e_il + e_kl + e_kj) comes from
+    two min-reductions over whole rows, taken one block of rows i at a
+    time: pair_ik = min_l (e_il + e_kl), then bound_ij = min_k (pair_ik +
+    e_kj).  That is O(n m min(n, m)) time, and beyond d itself the memory
+    of one block, at most max(_METRIC_BLOCK, n m) entries.  Entries above
+    the bound by more than METRIC_TOL times the largest distance are
+    reported in row-major order with the witnessing (i, j, k, l), so the
+    verdict does not depend on the scale; the stated sum is the witness's
+    d_il + d_kl + d_kj added left to right.
     """
-    bad = []
     d = inst.dist
     tol = METRIC_TOL * float(d.max())
-    step = max(1, _METRIC_BLOCK // d.size)  # each temporary is (step, n, m)
-    for s in range(0, inst.n, step):
-        pair = np.min(d[s : s + step, None, :] + d[None, :, :], axis=2)
-        bound = np.min(pair[:, :, None] + d[None, :, :], axis=1)
-        for a, j in zip(*np.nonzero(d[s : s + step] > bound + tol)):
-            i, k = s + a, int(np.argmin(pair[a] + d[:, j]))
-            l = int(np.argmin(d[i] + d[k]))
-            bad.append(
-                f"metric violated at d[{i},{j}] = {d[i, j]}: "
-                f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {bound[a, j]} (sites {i},{k}, clients {j},{l})"
-            )
-    return bad
+    swap = inst.n > inst.m
+    e = np.ascontiguousarray(d.T) if swap else d
+    step = max(1, _METRIC_BLOCK // e.size)  # each temporary is (step, rows, cols) of e
+    found = []
+    for s in range(0, e.shape[0], step):
+        pair = np.min(e[s : s + step, None, :] + e[None, :, :], axis=2)
+        bound = np.min(pair[:, :, None] + e[None, :, :], axis=1)
+        for a, j in zip(*np.nonzero(e[s : s + step] > bound + tol)):
+            i, k = s + a, int(np.argmin(pair[a] + e[:, j]))
+            l = int(np.argmin(e[i] + e[k]))
+            # a violation of d.T at (i, j) through (k, l) is one of d at (j, i) through (l, k)
+            found.append((j, i, l, k) if swap else (i, j, k, l))
+    return [
+        f"metric violated at d[{i},{j}] = {d[i, j]}: "
+        f"d[{i},{l}] + d[{k},{l}] + d[{k},{j}] = {d[i, l] + d[k, l] + d[k, j]} (sites {i},{k}, clients {j},{l})"
+        for i, j, k, l in sorted(found)
+    ]
 
 
 def generate(params: GenParams) -> Instance:

@@ -334,6 +334,11 @@ def dual_terms(
     return beta, np.maximum(beta.sum(axis=1) - inst.site_costs, 0.0)
 
 
+def site_slack(alpha: np.ndarray, inst: Instance) -> np.ndarray:
+    """rho_i = f_i - sum_j max(0, alpha_j - d_ij): site i's uncapped budget left by alpha's least beta."""
+    return inst.site_costs - dual_terms(alpha, inst)[0].sum(axis=1)
+
+
 def _dual_value(alpha: np.ndarray, inst: Instance, caps: np.ndarray | None) -> float:
     """The certificate's value sum_j r_j alpha_j, less cap.gamma of the least gamma under caps."""
     value = float(inst.demands @ alpha)
@@ -379,8 +384,7 @@ def check_duality(
     tol = FEAS_TOL * inst.cost_unit
     messages += _violations("dual_nonneg", alpha, "alpha >= 0", tol)
     if caps is None:  # under caps the least gamma meets every site budget
-        budget = inst.site_costs - dual_terms(alpha, inst)[0].sum(axis=1)
-        messages += _violations("site_budget", budget, "sum_j max(0, alpha_j - d_ij) <= f_i", tol)
+        messages += _violations("site_budget", site_slack(alpha, inst), "sum_j max(0, alpha_j - d_ij) <= f_i", tol)
     primal_cost = solution_cost(inst, primal.y, primal.x)
     dual_value = _dual_value(alpha, inst, caps)
     if not costs_agree(inst, primal_cost, primal.objective):

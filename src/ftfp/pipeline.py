@@ -20,14 +20,11 @@ solve_oracle  Exact optimum by branch and bound with caps max_j r_j
 
 Every flow re-verifies its own output before returning and raises if
 verification fails; the verifier is also exported for checking plans
-from files.  No flow over-covers a client, so the surplus trim before
-the verifier returns its input: s1 serves rhat, s2 and solve_exact's
-plan are scan fills of their demands, and rhat + rbar = r.  Every flow
-solves one LP, built by lp_core.build_lp, which drops the pairs no LP
-optimum can use, and solved by lp_core.solve_lp, which certifies its
-value on the full instance and raises SimplexError (a RuntimeError) when
-the certificate fails; its certified duals also price the residual
-(argument in SolveReport).
+from files.  Every flow solves one LP, built by lp_core.build_lp, which
+drops the pairs no LP optimum can use, and solved by lp_core.solve_lp,
+which certifies its value on the full instance and raises SimplexError
+(a RuntimeError) when the certificate fails; its certified duals also
+price the residual (argument in SolveReport).
 
 Every exact search gets the certified coverage duals alpha of the main
 LP (CappedInstance.alpha), which price its one bound (the priced
@@ -59,7 +56,9 @@ import numpy as np
 from .decompose import Decomposition, decompose_large, decompose_reduce, residual_instance
 from .ftfl_solvers import EXACT, IntegralSolution, Subroutine, solve_exact, to_capped
 from .instance import Instance, costs_agree, format_records, read_records, scan_fill, solution_cost
-from .lp_core import build_lp, solve_lp, trim_to_demand
+# trim_to_demand is bound only for the benchmark:
+# benchmark/spans.py times the layers by swapping module names.
+from .lp_core import build_lp, solve_lp, trim_to_demand  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,10 @@ def parse_report(text: str) -> SolveReport:
 def trim_surplus(sol: IntegralSolution, inst: Instance) -> IntegralSolution:
     """Cut every over-covered client back to its demand, dearest connections first (scan_fill).
 
-    A plan with no over-covered client is returned as the same object; a
-    trimmed one keeps sol's counters.
+    For plans from elsewhere: no flow's plan over-covers a client (s1
+    serves rhat, s2 and solve_exact's plan are scan fills of their
+    demands, and rhat + rbar = r).  A plan with no over-covered client is
+    returned as the same object; a trimmed one keeps sol's counters.
     """
     if not np.any(sol.x.sum(axis=0) > inst.demands):
         return sol
@@ -147,17 +148,11 @@ def verify_solution(inst: Instance, sol: IntegralSolution) -> list[str]:
     for j in np.nonzero(got != inst.demands)[0]:
         bad.append(f"client {j} gets {int(got[j])} connections, demand is {int(inst.demands[j])}")
     recomputed = solution_cost(inst, sol.y, sol.x)
-    if not costs_agree(inst, recomputed, sol.cost):
+    if not np.isfinite(recomputed):
+        bad.append(f"cost is not finite: f.y + d.x = {recomputed} overflows the float range")
+    elif not costs_agree(inst, recomputed, sol.cost):
         bad.append(f"stated cost {sol.cost} disagrees with recomputed {recomputed}")
     return bad
-
-
-def _verified(inst: Instance, sol: IntegralSolution, algo: str) -> IntegralSolution:
-    sol = trim_surplus(sol, inst)
-    bad = verify_solution(inst, sol)
-    if bad:
-        raise RuntimeError(f"{algo} produced an invalid plan: " + "; ".join(bad))
-    return sol
 
 
 def _report(
@@ -170,7 +165,9 @@ def _report(
     lp_star_residual, rho_sub and the decomposition.
     """
     t = time.perf_counter()
-    plan = _verified(inst, plan, algo)
+    bad = verify_solution(inst, plan)
+    if bad:
+        raise RuntimeError(f"{algo} produced an invalid plan: " + "; ".join(bad))
     wall["verify"] = time.perf_counter() - t
     if not (plan.cost <= chain_bound or costs_agree(inst, plan.cost, chain_bound)):
         raise RuntimeError(f"{algo} plan costs {plan.cost}, above its chain bound {chain_bound}")
@@ -218,7 +215,6 @@ def _rounding_flow(inst: Instance, sub: Subroutine, algo: str) -> tuple[Integral
     counters["lp"] = frac.counters
 
     t = time.perf_counter()
-    frac = trim_to_demand(frac, inst)
     dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
     wall["decompose"] = time.perf_counter() - t
     s1 = IntegralSolution(y=dec.yhat, x=dec.xhat, cost=solution_cost(inst, dec.yhat, dec.xhat))

@@ -18,7 +18,7 @@ from ftfp.cli import main
 from ftfp.decompose import decompose_large, decompose_reduce
 from ftfp.ftfl_solvers import NODE_BUDGET_ENV
 from ftfp.instance import GenParams, Instance, generate, parse_instance
-from ftfp.lp_core import build_lp, candidate_pairs, solve_lp, trim_to_demand
+from ftfp.lp_core import build_lp, candidate_pairs, solve_lp
 from ftfp.pipeline import parse_solution
 
 from conftest import INSTANCE_A, random_instance, scaled
@@ -228,7 +228,7 @@ def test_solve_dump_is_the_decomposition_of_the_lp_optimum(algo, tmp_path):
     ])
     assert rc == 0
     # reference: decompose the LP optimum afresh and format it the same way
-    frac = trim_to_demand(solve_lp(build_lp(inst))[0], inst)
+    frac = solve_lp(build_lp(inst))[0]
     dec = (decompose_reduce if algo == "reduce" else decompose_large)(frac, inst)
     assert dump.read_text() == decomposition_file(inst, dec)
     counters = json.loads(rep.read_text())["counters"]
@@ -427,6 +427,19 @@ def test_verify_counts_connections_without_wrapping(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "violation: client 0 gets 18446744073709551617 connections, demand is 1\n"
+
+
+def test_verify_names_a_cost_beyond_the_float_range(tmp_path, capsys):
+    # a feasible plan whose opening cost, 9e18 facilities at 1e299, overflows float64;
+    # pytest turns a RuntimeWarning into an error, so none may escape
+    inst = tmp_path / "o.ftfp"
+    inst.write_text(serialize_instance(Instance([1e299, 1.0], [1], [[0.5], [0.5]])))
+    sol = tmp_path / "o.sol"
+    sol.write_text("ftfp-sol 1\n2 1\n9000000000000000000 0\n1\n0\n")
+    assert main(["verify", "--in", str(inst), "--sol", str(sol)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "violation: cost is not finite: f.y + d.x = inf overflows the float range\n"
 
 
 # ---------------------------------------------------------------------------

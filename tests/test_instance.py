@@ -312,15 +312,17 @@ def test_blocked_metric_check_matches_the_unchunked_one(block, monkeypatch):
 
 
 def test_metric_check_memory_is_bounded_by_the_input():
-    # blocks of sites keep no (m, m) array, which alone would be 72 MB at 4x3000
-    inst = generate(GenParams(4, 3000, 1, 5, 7))
-    tracemalloc.start()
-    try:
-        assert validate(inst) == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6, peak
+    # blocks of the shorter side keep no (m, m) array, which alone would be 72 MB at
+    # 4x3000; at 3000x4 pairing the sites would take blocks of 87 x 3000 x 4 entries
+    for n, m in [(4, 3000), (3000, 4)]:
+        inst = generate(GenParams(n, m, 1, 5, 7))
+        tracemalloc.start()
+        try:
+            assert validate(inst) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (n, m, peak)
 
 
 # ---------------------------------------------------------------------------
