@@ -12,8 +12,8 @@ command is non-interactive and exits with a stable code:
     2  bad usage: unknown flags, unreadable or malformed files, invalid
        parameter combinations, invalid instances, infeasible caps
     3  the work does not fit: the exact search visited more nodes than
-       its budget (FTFP_NODE_BUDGET, default 10^7) or recursed deeper
-       than Python allows, or the process ran out of memory
+       its budget (FTFP_NODE_BUDGET, default 10^7), or the process ran
+       out of memory
 
 Summary lines are key=value pairs on stdout; diagnostics go to stderr.
 """

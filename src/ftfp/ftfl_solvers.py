@@ -127,8 +127,11 @@ the nodes visited ("nodes") and those cut by the bound
 The exact search is budgeted by the work it does, not by the size of its
 space: it counts visited nodes against the node budget (FTFP_NODE_BUDGET
 in the environment, default 10^7) and raises BudgetExceededError when the
-count overruns it.  The walk recurses once per site, so a search deeper
-than Python's recursion limit is refused the same way.
+count overruns it.  That is its only refusal, whatever the depth: the walk
+is one loop over a list holding, per depth, the node's opening cost, room
+and next child's v.  A node's last child (y_i = cap_i) keeps its parent's
+fill when site i is in no client's near prefix or has cap 0, since the
+fill then reads i alike.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ OPENING_TOL = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
-    """The exact search visited more nodes than the budget, or recursed deeper than Python allows."""
+    """The exact search visited more nodes than the budget."""
 
 
 @dataclass(frozen=True)
@@ -304,39 +307,48 @@ def solve_exact(ci: CappedInstance) -> IntegralSolution:
             fixed[i] = min(c, math.floor(slack / r)) if slack > 0.0 else 0
     if sum(fixed) >= need:  # less only by rounding: the incumbent's own bound is below the cutoff
         caps_list = fixed
+    # a site in no client's near prefix, or capped at 0, reads the same decided or not
+    near_sites = {i for _, _, near, _ in rows for i, _ in near}
     nodes = pruned_bound = 0
     capvec = caps_list.copy()  # decided sites at their opening, undecided ones at their cap
     decided = [False] * n
-
-    def walk(depth: int, opening_cost: float, room: int):
-        """Visit the node with sites perm[:depth] decided."""
-        nonlocal best_cost, cutoff, best_y, nodes, pruned_bound
+    # the depth-first walk: path[d] = [opening cost, room, next child's v, fill] of the node
+    # on the current path with sites perm[:d] decided; conn is None until the node is priced
+    path = []
+    opening_cost, room, conn = 0.0, sum(caps_list), None
+    while True:
+        depth = len(path)
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"visited nodes exceed budget {budget}")
-        conn = priced_connection_cost(capvec, decided)
+        if conn is None:
+            conn = priced_connection_cost(capvec, decided)
         if opening_cost + suffix[depth] + conn > cutoff:
             pruned_bound += 1
-            return
-        if depth == n:  # capvec is the leaf's opening vector, and conn its connection cost
+        elif depth == n:  # capvec is the leaf's opening vector, and conn its connection cost
             cost = opening_cost_in_index_order(capvec) + conn
             if cost < best_cost or (cost == best_cost and capvec < best_y):
                 best_cost = cost
                 cutoff = best_cost + PRUNE_MARGIN * (inst.cost_unit + abs(best_cost))
                 best_y = capvec.copy()
-            return
-        i = perm[depth]
-        cap, fi = caps_list[i], f[i]
-        decided[i] = True
-        for v in range(max(0, need - room + cap), cap + 1):  # the children whose room stays >= need
-            capvec[i] = v
-            walk(depth + 1, opening_cost + fi * v, room - cap + v)
-        decided[i] = False
-
-    try:
-        walk(0, 0.0, sum(caps_list))
-    except RecursionError:
-        raise BudgetExceededError(f"a search over {n} sites exceeds Python's recursion limit") from None
+        else:  # its children are the v whose room stays >= need, by ascending v
+            decided[perm[depth]] = True
+            path.append([opening_cost, room, max(0, need - room + caps_list[perm[depth]]), conn])
+        while path:  # the next node is the next child of the deepest node that has one left
+            i = perm[len(path) - 1]
+            parent_cost, parent_room, v, parent_conn = path[-1]
+            if v <= caps_list[i]:
+                break
+            decided[i] = False
+            path.pop()
+        else:
+            break
+        cap = caps_list[i]
+        path[-1][2] = v + 1
+        capvec[i] = v
+        opening_cost, room = parent_cost + f[i] * v, parent_room - cap + v
+        # the last child (v = cap) differs from its parent only in decided[i]
+        conn = parent_conn if v == cap and (cap == 0 or i not in near_sites) else None
     return _plan(best_y, inst, {"nodes": nodes, "pruned_bound": pruned_bound})
 
 

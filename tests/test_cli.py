@@ -354,16 +354,35 @@ def test_default_exact_solve_plans_on_the_benchmark_shape(tmp_path, monkeypatch,
     assert capsys.readouterr().out.startswith("algo=reduce ")
 
 
-@pytest.mark.parametrize("sites,code", [(400, 0), (1200, 3)])
-def test_a_search_deeper_than_the_recursion_limit_is_refused(sites, code, tmp_path, capsys):
-    # the oracle's search recurses once per site; past Python's recursion
-    # limit it is refused like an overrun node budget, not crashed
+def deep_instance(sites, tmp_path, capsys):
     path = tmp_path / "deep.ftfp"
     assert main(["gen", "--sites", str(sites), "--clients", "2", "--seed", "7", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert main(["solve", "--in", str(path), "--algo", "oracle"]) == code
+    return path
+
+
+@pytest.mark.parametrize(
+    "sites,nodes,cost", [(400, 406, "0.215654889126402"), (1200, 1207, "0.4770400521074439")], ids=["400", "1200"]
+)
+def test_a_deep_search_plans_and_its_plan_verifies(sites, nodes, cost, tmp_path, monkeypatch, capsys):
+    # the oracle's search branches once per site; its depth is no refusal, only its node count
+    monkeypatch.delenv(NODE_BUDGET_ENV, raising=False)
+    path = deep_instance(sites, tmp_path, capsys)
+    sol, rep = tmp_path / "deep.sol", tmp_path / "deep.json"
+    assert main(["solve", "--in", str(path), "--algo", "oracle", "--out", str(sol), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["counters"]["oracle"]["nodes"] == nodes
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--sol", str(sol)]) == 0
+    assert capsys.readouterr().out == f"ok cost={cost}\n"
+
+
+def test_a_deep_search_is_refused_by_its_node_budget(tmp_path, monkeypatch, capsys):
+    path = deep_instance(1200, tmp_path, capsys)
+    monkeypatch.setenv(NODE_BUDGET_ENV, "1000")
+    assert main(["solve", "--in", str(path), "--algo", "oracle"]) == 3
     err = capsys.readouterr().err
-    assert ("recursion limit" in err) == (code == 3)
+    assert "visited nodes exceed budget 1000" in err
+    assert "recursion" not in err
 
 
 def test_running_out_of_memory_exits_three(inst_file, monkeypatch, capsys):
